@@ -21,7 +21,9 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -36,8 +38,12 @@ from workloads import (Checks, GradcheckSmall, PredictLong,  # noqa: E402
                        import_darter)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SETUP_REPEATS = 9
+SETUP_SAMPLES = 41
 TRACED_SETUP_REPEATS = 3
+# Measured by an untraced run and printed in its detail line, but not
+# declared in BENCHMARK.json: they follow the machine's load too closely to
+# be bounded (perfbench/README.md).
+INFORMATIONAL = ("items_per_s", "op_ms_p50", "op_ms_p90")
 
 
 class BenchError(Exception):
@@ -104,32 +110,45 @@ def make_workload(name: str, seed: int):
     raise BenchError(f"unknown workload {name!r}")
 
 
-def timed_setups(workload, repeats: int):
-    """Set up `repeats` times, each from a fresh import; returns the median
-    time and the last state."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        state = workload.setup(import_darter())
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), state
-
-
-def run_phase(workload, seconds: float, checks: Checks):
-    """Run whole units until `seconds` have passed; (items/s, samples)."""
-    samples, items = [], 0
+def timed_setup(workload):
+    """Set up once from a fresh import of darter; (seconds, state)."""
     start = time.perf_counter()
+    state = workload.setup(import_darter())
+    return time.perf_counter() - start, state
+
+
+def run_phase(workload, seconds: float, checks: Checks, setups=None):
+    """Run whole units until `seconds` of unit time have passed;
+    (items/s, {group: op times}).
+
+    With a list `setups`, SETUP_SAMPLES set-ups are timed between the units,
+    spread evenly over the phase, and their times appended to it.  Their
+    garbage is collected before the next unit, and the rate counts the
+    units' own time only.
+    """
+    samples, items, busy = {}, 0, 0.0
     while True:
+        start = time.perf_counter()
         try:
             unit_samples, unit_items = workload.run_unit(checks)
         except Exception as exc:  # a failed operation ends the run
             checks.expect(False, f"{type(exc).__name__}: {exc}")
             break
-        samples.extend(unit_samples)
+        busy += time.perf_counter() - start
+        for group, times in unit_samples.items():
+            samples.setdefault(group, []).extend(times)
         items += unit_items
-        if time.perf_counter() - start >= seconds:
+        done = busy >= seconds
+        if setups is not None:
+            owed = (SETUP_SAMPLES if done else
+                    min(SETUP_SAMPLES, math.ceil(SETUP_SAMPLES * busy
+                                                 / seconds)))
+            while len(setups) < owed:
+                setups.append(timed_setup(workload)[0])
+                gc.collect()
+        if done:
             break
-    return items / (time.perf_counter() - start), samples
+    return (items / busy if busy > 0 else 0.0), samples
 
 
 def final_checks(workload, checks: Checks) -> dict:
@@ -140,24 +159,36 @@ def final_checks(workload, checks: Checks) -> dict:
         return {}
 
 
+def latency(samples: dict) -> tuple[float, float, float]:
+    """Minimum, median and p90 of each group's op times, averaged over the
+    groups with their sample counts as weights, in ms."""
+    count = sum(len(times) for times in samples.values())
+    if not count:
+        return 0.0, 0.0, 0.0
+    low, p50, p90 = sum(len(times) * np.array([min(times),
+                                               *np.percentile(times, [50, 90])])
+                        for times in samples.values()) / count * 1e3
+    return low, p50, p90
+
+
 def end_to_end(workload, seconds: float, checks: Checks) -> dict:
-    setup_s, state = timed_setups(workload, SETUP_REPEATS)
+    setups, state = [], timed_setup(workload)[1]
     workload.start(state, checks)
-    rate, samples = run_phase(workload, seconds, checks)
+    rate, samples = run_phase(workload, seconds, checks, setups)
     final_checks(workload, checks)
-    p10, p90 = (np.percentile(samples, [10, 90]) * 1e3 if samples
-                else (0.0, 0.0))
-    return {"items_per_s": rate, "op_ms_p10": p10, "op_ms_p90": p90,
-            "setup_s": setup_s,
+    low, p50, p90 = latency(samples)
+    return {"items_per_s": rate, "op_ms_min": low, "op_ms_p50": p50,
+            "op_ms_p90": p90,
+            "setup_s": min(setups, default=0.0),
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "samples": len(samples)}
+            "samples": sum(len(times) for times in samples.values())}
 
 
 def per_layer(workload, seconds: float, checks: Checks) -> tuple[dict, list]:
     """Alternate untraced and traced units, so that both see the same
     machine; only the traced ones leave spans."""
-    _, state = timed_setups(workload, 1)
+    state = timed_setup(workload)[1]
     workload.start(state, checks)
     tracer = Tracer()
 
@@ -213,6 +244,8 @@ def main(argv=None) -> int:
     print(json.dumps({"detail": {
         "workload": args.workload, "trace": args.trace,
         "samples": measured.get("samples"), "absent": absent,
+        "informational": {k: measured[k] for k in INFORMATIONAL
+                          if k in measured},
         "missing_entry_points": missing, "failures": checks.messages}}))
     print(json.dumps({
         "correct": checks.failed == 0 and checks.attempted > 0,

@@ -10,6 +10,7 @@ fails.  Run from the repository root:
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
-from run import per_layer, run_phase  # noqa: E402
+from run import SETUP_SAMPLES, latency, per_layer, run_phase  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import (Checks, GradcheckSmall, PredictLong,  # noqa: E402
                        TrainBundled, darter_modules, tables_ok)
@@ -170,7 +171,7 @@ def test_loss_check_fires_on_non_finite_loss(dm, monkeypatch):
 
     monkeypatch.setattr(dm.training, "sentence_loss", diverging)
     rate, samples = run_phase(workload, 0.0, checks)
-    assert checks.failed == 1 and samples == []
+    assert checks.failed == 1 and samples == {}
     assert checks.messages[0].startswith("TrainingDiverged")
 
 
@@ -214,3 +215,35 @@ def test_traced_run_covers_the_final_checks(dm, tmp_path):
     assert metrics["evaluation.evaluate_corpus_ms"] > 0
     assert metrics["encoder.nodes_per_call"] > 0      # the recorded check
     assert metrics["trace.throughput_ratio"] > 0
+
+
+def test_setups_are_spread_between_units():
+    class Stub:
+        def __init__(self):
+            self.log = []
+
+        def setup(self, dm):
+            self.log.append("setup")
+
+        def run_unit(self, checks):
+            time.sleep(0.005)
+            self.log.append("unit")
+            return {"op": [0.005]}, 1
+
+    stub, setups = Stub(), []
+    rate, samples = run_phase(stub, 0.1, Checks(), setups)
+    assert len(setups) == SETUP_SAMPLES
+    assert stub.log.count("setup") == SETUP_SAMPLES
+    first, last = stub.log.index("setup"), len(stub.log) - 1
+    assert stub.log[first - 1] == "unit"
+    assert "setup" in stub.log[:last // 2]       # not all at the end
+    assert len(samples["op"]) == stub.log.count("unit")
+    assert rate > 100                            # unit time only
+
+
+def test_latency_weights_groups_by_samples():
+    low, p50, p90 = latency({"cheap": [1.0] * 30, "dear": [4.0, 2.0] * 5})
+    assert low == pytest.approx((30 * 1.0 + 10 * 2.0) / 40 * 1e3)
+    assert p50 == pytest.approx((30 * 1.0 + 10 * 3.0) / 40 * 1e3)
+    assert p90 == pytest.approx((30 * 1.0 + 10 * 4.0) / 40 * 1e3)
+    assert latency({}) == (0.0, 0.0, 0.0)

@@ -4,7 +4,9 @@ Each workload is a closed loop with one client: the next operation starts
 when the previous one has returned.  Work is measured in whole units (a
 training round, a pass over the sentence pool, a cycle of gradient-check
 configs) so that every run, whatever its length, times the same mix of
-operations.
+operations.  ``run_unit`` returns the unit's op times in groups, each group
+timing one kind of op (``gradcheck-small`` has one group per stratum), and
+the number of items done.
 
 All calls into the library go through a module attribute looked up at call
 time (``dm.training.train``), so the tracer's wrappers see them.
@@ -125,7 +127,7 @@ class TrainBundled:
         for model, history in zip(self.state.models, histories):
             checks.expect(len(history) == 1 and math.isfinite(history[0]),
                           f"{model.config.variant}: epoch loss {history}")
-        return [elapsed], len(corpus) * len(self.state.models)
+        return {"round": [elapsed]}, len(corpus) * len(self.state.models)
 
     def final_checks(self, checks: Checks) -> dict:
         """One seeded epoch, replayed from a copy of the parameters, must
@@ -216,11 +218,11 @@ class PredictLong:
     Decoders grow as t squared, so this is the read path: recording off, no
     backward, no Adam.  A unit is one pass over a pool that holds the same
     number of sentences at each length, so the mix of lengths is the same
-    for every seed.
+    for every seed; each prediction is timed in the group of its length.
     """
 
-    lengths = tuple(range(20, 101, 10))
-    per_length = 2
+    lengths = (20, 35, 50, 75, 100)
+    per_length = 1
     checked_length = 50   # recorded vs unrecorded forward, fixed for memory
 
     def __init__(self, seed: int, checkpoint: str):
@@ -256,12 +258,11 @@ class PredictLong:
     def run_unit(self, checks: Checks):
         model = self.state.model
         perf_counter = time.perf_counter
-        samples, results = [], []
-        for s in self.pool:
+        samples: dict[str, list[float]] = {}
+        for s, want in zip(self.pool, self.expected):
             start = perf_counter()
-            results.append(model.predict_tokens(s.tokens))
-            samples.append(perf_counter() - start)
-        for s, got, want in zip(self.pool, results, self.expected):
+            got = model.predict_tokens(s.tokens)
+            samples.setdefault(f"t{len(s)}", []).append(perf_counter() - start)
             checks.expect(got == want, f"t={len(s)}: predictions differ "
                                        f"from the checked tables")
         return samples, len(self.pool)
@@ -332,16 +333,33 @@ class GradcheckSmall:
     over fixed strata that set every size and flag shaping the graph, so
     every seed times the same mix of graphs; the seed draws the sentence,
     alpha and beta, the loss weights and the initial parameters.
+
+    The strata follow criterion 1's own seeded config list: each stands for
+    one (variant, layers, t) class, with widths chosen so that its share of
+    the cycle's evaluations is that class's share of criterion 1's, and the
+    flags are spread to match criterion 1's shares too.
+    ``criterion1_mix.py`` prints the comparison.
     """
 
-    strata = (Stratum("darter", 1, 1, 2, 1, True, False, True, 1, 2),
-              Stratum("darter", 1, 8, 2, 3, False, True, False, 2, 1),
-              Stratum("darter", 2, 2, 2, 5, True, True, False, 3, 3),
-              Stratum("darter", 1, 2, 5, 4, False, False, False, 2, 2),
-              Stratum("bidarter", 2, 3, 2, 4, True, False, False, 1, 3),
-              Stratum("bidarter", 2, 1, 3, 5, False, True, False, 3, 1))
+    strata = (Stratum("bidarter", 2, 8, 2, 1, False, True, False, 1, 2),
+              Stratum("bidarter", 2, 8, 3, 2, False, False, True, 2, 2),
+              Stratum("bidarter", 2, 2, 2, 3, True, True, False, 2, 1),
+              Stratum("bidarter", 2, 7, 3, 4, True, True, False, 3, 3),
+              Stratum("bidarter", 2, 8, 2, 5, False, False, False, 3, 3),
+              Stratum("darter", 1, 2, 2, 1, False, False, False, 1, 2),
+              Stratum("darter", 1, 1, 2, 2, True, False, False, 3, 1),
+              Stratum("darter", 1, 1, 2, 5, True, True, False, 2, 1),
+              Stratum("darter", 2, 8, 2, 1, False, True, False, 3, 2),
+              Stratum("darter", 2, 1, 2, 2, True, True, False, 1, 2),
+              Stratum("darter", 2, 1, 2, 3, True, False, True, 1, 2),
+              Stratum("darter", 2, 1, 2, 5, True, False, False, 2, 1))
     tolerance = 1e-4
-    step = 1e-6
+    # Criterion 1 steps by 1e-6.  Some drawn configs bend so sharply near
+    # their initial parameters (a second-derivative jump a few 1e-7 away)
+    # that a 1e-6 central difference misses the analytic gradient by 2e-4
+    # while a 1e-7 one agrees to 1e-8; the smaller step keeps the reference
+    # accurate and the traffic the same.
+    step = 1e-7
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
@@ -416,16 +434,16 @@ class GradcheckSmall:
         return gradcheck.max_relative_error(analytic, numeric)
 
     def run_unit(self, checks: Checks):
-        samples: list[float] = []
-        for model, *inputs in self.configs(self.state.dm):
-            before = len(samples)
-            err = self.check_config(model, *inputs, samples)
-            self.evals.append(len(samples) - before)
+        samples: dict[int, list[float]] = {}
+        for k, (model, *inputs) in enumerate(self.configs(self.state.dm)):
+            samples[k] = []
+            err = self.check_config(model, *inputs, samples[k])
+            self.evals.append(len(samples[k]))
             self.worst = max(self.worst, err)
             checks.expect(err <= self.tolerance,
                           f"{model.config.variant} d_p={model.config.d_p} "
                           f"d_h={model.config.d_h}: max rel err {err:.3g}")
-        return samples, len(samples)
+        return samples, sum(len(times) for times in samples.values())
 
     def final_checks(self, checks: Checks) -> dict:
         if not self.evals:
