@@ -600,6 +600,47 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
     return _emit("pair_scores", inputs, probs, backward)
 
 
+def bce(probs: Tensor, gold: np.ndarray, eps: float,
+        mask: np.ndarray | None = None) -> Tensor:
+    """-sum(mask * (gold * log(p) + (1 - gold) * log(1 - p))) with
+    p = clamp(probs, eps, 1 - eps), as one node.
+
+    gold and mask are float arrays of probs' shape. Forward and backward
+    repeat the composed clamp/log/mul/sum chain's arithmetic in its order,
+    so both give its bits, and `clamp`'s and `log`'s checks still hold.
+    """
+    av = probs.values
+    if gold.shape != av.shape or mask is not None and mask.shape != av.shape:
+        raise ShapeError(f"bce tables must have shape {av.shape}")
+    lo, hi = eps, 1.0 - eps
+    if not lo < hi:
+        raise ContractError(f"clamp bounds must satisfy lo < hi, got {lo}, {hi}")
+    p = np.clip(av, lo, hi)
+    q = 1.0 - p
+    # with 0 < lo and hi < 1 every clamped value and its complement is
+    # positive (or NaN, which log accepts too)
+    if not (lo > 0.0 and hi < 1.0) and (np.any(p <= 0.0) or np.any(q <= 0.0)):
+        raise ContractError("log requires strictly positive values")
+    miss = 1.0 - gold
+    cells = gold * np.log(p)
+    cells += miss * np.log(q)
+    if mask is not None:
+        cells *= mask
+    out = np.asarray(cells.sum() * -1.0 + 0.0)
+
+    def backward(g):
+        dcells = g * -1.0 if mask is None else (g * -1.0) * mask
+        dp = dcells * gold
+        dp /= p
+        dq = dcells * miss
+        dq /= q
+        dp -= dq
+        dp *= (av >= lo) & (av <= hi)
+        return (dp,)
+
+    return _emit("bce", (probs,), out, backward)
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -609,18 +650,42 @@ class ParamStore:
     Names are unique and shapes immutable once added. Weight matrices draw
     from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); the draw order is the
     insertion order, so a given seed reproduces values bit for bit.
+
+    Once `flat` is read, every named array is a view into that one
+    contiguous vector, in insertion order, and `set_` and `zero_all` write
+    through the views. Registering a parameter afterwards drops the
+    vector; the next read of `flat` builds a new one.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
         self._arrays: dict[str, np.ndarray] = {}
+        self._flat: np.ndarray | None = None
 
     def _register(self, name: str, arr: np.ndarray) -> np.ndarray:
         if name in self._arrays:
             raise ContractError(f"duplicate parameter name: {name}")
         self._arrays[name] = arr
+        self._flat = None
         return arr
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every parameter in one contiguous float64 vector."""
+        if self._flat is None:
+            self._view(np.concatenate(
+                [arr.ravel() for arr in self._arrays.values()] or [[]]))
+        return self._flat
+
+    def _view(self, flat: np.ndarray) -> None:
+        """Make `flat` the vector, and the named arrays views into it."""
+        offset = 0
+        for name, arr in self._arrays.items():
+            self._arrays[name] = flat[offset:offset + arr.size].reshape(
+                arr.shape)
+            offset += arr.size
+        self._flat = flat
 
     def add_uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
         if fan_in < 1:
@@ -640,11 +705,10 @@ class ParamStore:
         if arr.shape != cur.shape:
             raise ShapeError(f"parameter {name} has shape {cur.shape}; "
                              f"cannot assign shape {arr.shape}")
-        self._arrays[name] = arr
+        cur[...] = arr
 
     def zero_all(self) -> None:
-        for name in self._arrays:
-            self._arrays[name] = np.zeros_like(self._arrays[name])
+        self.flat.fill(0.0)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -662,8 +726,10 @@ class ParamStore:
         return sum(a.size for a in self._arrays.values())
 
     def copy(self) -> "ParamStore":
+        flat = self.flat.copy()
         dup = ParamStore(self.seed)
-        dup._arrays = {k: v.copy() for k, v in self._arrays.items()}
+        dup._arrays = dict(self._arrays)
+        dup._view(flat)
         return dup
 
     def bind(self, record: Record) -> dict[str, Tensor]:

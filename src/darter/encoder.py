@@ -125,7 +125,6 @@ class DamOutput:
 
     h_tilde: dict[str, Tensor]      # p -> [t, d_h]
     hidden: dict[str, Tensor]       # p -> [t, d_h]
-    final_state: DamState           # carry after the last step, untracked
     trace: list[TraceStep] | None
 
 
@@ -233,11 +232,8 @@ def encode_sequence(x: Tensor, params: DamParams,
         trace = [TraceStep(i, *(at(key, i).copy() for key in (
                      "z", "f", "ctil", "inter", "a", "h_tilde", "c", "h")))
                  for i in order]
-    last = order[-1]
-    final_state = DamState(*(Tensor(at(key, last))
-                             for key in ("h", "c", "f", "inter")))
     return DamOutput(h_tilde=_stream_dict(out, 0), hidden=_stream_dict(out, 1),
-                     final_state=final_state, trace=trace)
+                     trace=trace)
 
 
 def layer_direction(layer_index: int) -> Direction:
@@ -264,6 +260,7 @@ def encode_stacked(x: Tensor, layers: list[DamParams],
                               interaction=interaction,
                               collect_trace=collect_trace)
         outputs.append(out)
-        h = out.hidden
-        current = add(add(h["s"], h["r"]), h["o"])
+        if idx + 1 < len(layers):        # the last layer's sum feeds nothing
+            h = out.hidden
+            current = add(add(h["s"], h["r"]), h["o"])
     return outputs

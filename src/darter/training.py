@@ -11,12 +11,12 @@ F1, then entity F1, then first in enumeration order.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import (ContractError, Tensor, add, affine_const, clamp,
-                       constant, log, mul, sum_all)
+from .autodiff import ContractError, Tensor, add, affine_const, bce
 from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
                      gold_tables)
 from .decoders import ALPHA_BETA_GRID
@@ -85,23 +85,20 @@ class TrainConfig:
 
 def bce_sum(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
             eps: float = 1e-7) -> Tensor:
-    """Binary cross-entropy summed over (unmasked) table cells."""
+    """Binary cross-entropy summed over (unmasked) table cells, as one
+    autodiff node (`autodiff.bce`)."""
     gold = np.asarray(gold, dtype=np.float64)
     if gold.shape != probs.shape:
         raise ContractError(
             f"gold shape {gold.shape} != probs shape {probs.shape}")
     if not np.all((gold == 0.0) | (gold == 1.0)):
         raise ContractError("gold tables must be binary")
-    p = clamp(probs, eps, 1.0 - eps)
-    hit = mul(constant(gold), log(p))
-    miss = mul(constant(1.0 - gold), log(affine_const(p, -1.0, 1.0)))
-    cells = add(hit, miss)
     if mask is not None:
         if mask.shape != probs.shape:
             raise ContractError(
                 f"mask shape {mask.shape} != probs shape {probs.shape}")
-        cells = mul(cells, constant(np.asarray(mask, dtype=np.float64)))
-    return affine_const(sum_all(cells), -1.0, 0.0)
+        mask = np.asarray(mask, dtype=np.float64)
+    return bce(probs, gold, eps, mask)
 
 
 def sentence_loss(forward, entity_gold: np.ndarray, relation_gold: np.ndarray,
@@ -118,7 +115,21 @@ def sentence_loss(forward, entity_gold: np.ndarray, relation_gold: np.ndarray,
 
 
 class Adam:
-    """Adam with bias correction; state keyed by parameter name."""
+    """Adam with bias correction over the store's flat parameter vector.
+
+    step() gathers the named gradients into one flat buffer, in the
+    store's order, and updates with in-place calls on preallocated
+    buffers. The operations and their order are those of the per-array
+    formula
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + ((1 - beta2) * g) * g
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        p = p - (lr * m_hat) / (sqrt(v_hat) + eps)
+
+    so the result is the same, bit for bit.
+    """
 
     def __init__(self, store, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -128,24 +139,32 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros_like(store[name]) for name in store.names()}
-        self._v = {name: np.zeros_like(store[name]) for name in store.names()}
+        size = store.flat.size
+        self._m, self._v, self._grad, self._work, self._denom = (
+            np.zeros(size) for _ in range(5))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
-        for name in self.store.names():
-            g = grads[name]
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            self.store.set_(name, self.store[name]
-                            - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        g, m, v = self._grad, self._m, self._v
+        work, denom = self._work, self._denom
+        np.concatenate([grads[name] for name in self.store.names()],
+                       axis=None, out=g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=work)
+        m += work
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=work)
+        work *= g
+        v += work
+        np.divide(m, 1.0 - self.beta1 ** t, out=work)
+        work *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        work /= denom
+        flat = self.store.flat
+        flat -= work
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +200,14 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
     prepared = [_prepare(model, s) for s in sentences]
     rng = np.random.default_rng(train_config.seed)
     optimizer = Adam(model.store, train_config.lr)
-    names = list(model.store.names())
     history = []
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(prepared))
         epoch_loss = 0.0
         for start in range(0, len(order), train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
-            grads = {name: np.zeros_like(model.store[name])
-                     for name in names}
-            for step, idx in enumerate(batch):
+            grads = None
+            for idx in batch:
                 item = prepared[idx]
                 forward = model.forward(item.token_ids)
                 loss = sentence_loss(forward, item.entity_gold,
@@ -202,13 +219,20 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
                         f"non-finite loss {value} at epoch {epoch}, "
                         f"sentence {int(idx)}")
                 epoch_loss += value
-                forward.record.backward(loss)
-                for name in names:
-                    grad = forward.record.grad(forward.bound[name])
-                    if grad is not None:
-                        grads[name] += grad
-            scale = 1.0 / len(batch)
-            optimizer.step({name: g * scale for name, g in grads.items()})
+                found = forward.record.backward(loss)
+                own = {}
+                for name, leaf in forward.bound.items():
+                    grad = found.get(leaf.node_id)
+                    # a parameter the loss does not reach still gets a
+                    # zero gradient: Adam decays its moments
+                    own[name] = (np.zeros_like(model.store[name])
+                                 if grad is None else grad)
+                grads = own if grads is None else {
+                    name: grads[name] + grad for name, grad in own.items()}
+            if len(batch) > 1:
+                scale = 1.0 / len(batch)
+                grads = {name: g * scale for name, g in grads.items()}
+            optimizer.step(grads)
         history.append(epoch_loss / len(prepared))
     return history
 
@@ -285,8 +309,22 @@ def grid_search(config: ModelConfig, schema: LabelSchema, vocab: Vocabulary,
 # artifacts
 
 
+def _write_json(path, obj) -> None:
+    """Write JSON to a temporary file beside `path`, then rename it over
+    `path`, so a failed write leaves any previous file as it was."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            json.dump(obj, handle)
+            handle.write("\n")
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):         # the write failed
+            os.unlink(temp)
+
+
 def save_checkpoint(path, model: JointModel) -> None:
-    obj = {
+    _write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_json(),
@@ -296,13 +334,27 @@ def save_checkpoint(path, model: JointModel) -> None:
         "params": {name: {"shape": list(values.shape),
                           "data": values.ravel().tolist()}
                    for name, values in model.store.items()},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle)
-        handle.write("\n")
+    })
+
+
+def _field(obj, key: str, where: str):
+    """obj[key] of a JSON object that `where` names as "<file>: <field>."."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"{where}{key}: missing")
+    return obj[key]
+
+
+def _check(where: str, make, *args):
+    """make(*args), with a bad value reported as a ConfigError at `where`."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_checkpoint(path) -> JointModel:
+    """Read a checkpoint. A missing, malformed or non-finite field is a
+    ConfigError naming the file and the field."""
     with open(path, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
@@ -313,29 +365,31 @@ def load_checkpoint(path) -> JointModel:
     if obj.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version "
                           f"{obj.get('version')!r}")
-    config = ModelConfig.from_json(obj["config"])
-    schema = LabelSchema(tuple(obj["schema"]["entity_types"]),
-                         tuple(obj["schema"]["relation_types"]))
-    vocab = Vocabulary(tuple(obj["vocab"]))
+    config, schema, vocab, saved = (_field(obj, key, f"{path}: ") for key in
+                                    ("config", "schema", "vocab", "params"))
+    config = _check(f"{path}: config", ModelConfig.from_json, config)
+    schema = _check(f"{path}: schema", LabelSchema,
+                    *(_field(schema, key, f"{path}: schema.")
+                      for key in ("entity_types", "relation_types")))
+    vocab = _check(f"{path}: vocab", Vocabulary, vocab)
     model = JointModel(config, schema, vocab)
-    saved = obj["params"]
-    want = set(model.store.names())
-    if set(saved) != want:
+    if not isinstance(saved, dict) or set(saved) != set(model.store.names()):
         raise ConfigError(f"{path}: checkpoint parameters do not match the "
                           f"configured architecture")
-    for name in model.store.names():
-        entry = saved[name]
-        values = np.array(entry["data"], dtype=np.float64)
-        shape = tuple(entry["shape"])
-        if values.size != int(np.prod(shape)) or \
-                shape != model.store[name].shape:
-            raise ConfigError(f"{path}: parameter {name} has shape {shape}, "
-                              f"expected {model.store[name].shape}")
-        model.store.set_(name, values.reshape(shape))
+    for name, current in model.store.items():
+        where = f"{path}: params.{name}"
+        shape = _field(saved[name], "shape", f"{where}.")
+        values = _check(where, np.array, _field(saved[name], "data",
+                                                f"{where}."), np.float64)
+        if not isinstance(shape, list) or tuple(shape) != current.shape \
+                or values.size != current.size:
+            raise ConfigError(f"{where}: shape {shape} with {values.size} "
+                              f"values, expected {list(current.shape)}")
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{where}: null, NaN or infinite value")
+        model.store.set_(name, values.reshape(current.shape))
     return model
 
 
 def save_history(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"epoch_mean_loss": list(history)}, handle)
-        handle.write("\n")
+    _write_json(path, {"epoch_mean_loss": list(history)})

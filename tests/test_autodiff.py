@@ -488,6 +488,74 @@ def test_paramstore_zero_all():
     npt.assert_array_equal(store["w"], np.zeros((3, 3)))
 
 
+def _views_store():
+    store = ParamStore(4)
+    store.add_uniform("w", (3, 2), fan_in=3)
+    store.add_ones("b", (2,))
+    return store
+
+
+def test_paramstore_arrays_are_views_of_the_flat_vector():
+    store = _views_store()
+    before = {name: arr.copy() for name, arr in store.items()}
+    flat = store.flat
+    assert flat.shape == (8,) and flat.flags.c_contiguous
+    npt.assert_array_equal(flat, np.concatenate([before["w"].ravel(),
+                                                 before["b"]]))
+    for name, arr in store.items():
+        assert np.shares_memory(arr, flat)
+        npt.assert_array_equal(arr, before[name])
+    flat[-1] = 9.0
+    assert store["b"][1] == 9.0
+
+
+def test_paramstore_set_copies_into_the_view():
+    store = _views_store()
+    flat = store.flat
+    values = np.arange(6.0).reshape(3, 2)
+    store.set_("w", values)
+    values[0, 0] = -1.0
+    assert store["w"][0, 0] == 0.0
+    npt.assert_array_equal(flat[:6], np.arange(6.0))
+    assert np.shares_memory(store["w"], flat)
+
+
+def test_paramstore_zero_all_keeps_the_views():
+    store = _views_store()
+    flat = store.flat
+    store.zero_all()
+    assert store.flat is flat
+    npt.assert_array_equal(flat, np.zeros(8))
+    for name in store.names():
+        assert np.shares_memory(store[name], flat)
+
+
+def test_paramstore_copy_is_independent():
+    store = _views_store()
+    dup = store.copy()
+    assert not np.shares_memory(dup.flat, store.flat)
+    dup["w"][0, 0] = 7.0
+    dup.flat[-1] = 8.0
+    assert store["w"][0, 0] != 7.0 and store["b"][1] == 1.0
+    store.set_("b", np.zeros(2))
+    npt.assert_array_equal(dup["b"], [1.0, 8.0])
+    assert np.shares_memory(dup["w"], dup.flat)
+
+
+def test_paramstore_register_after_flat_was_read():
+    store = _views_store()
+    store.flat[0] = 5.0
+    store.add_zeros("c", (3,))
+    flat = store.flat
+    assert flat.shape == (11,)
+    assert flat[0] == 5.0 and store["w"][0, 0] == 5.0
+    npt.assert_array_equal(flat[8:], np.zeros(3))
+    for name in store.names():
+        assert np.shares_memory(store[name], flat)
+    store.set_("c", np.ones(3))
+    npt.assert_array_equal(flat[8:], np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # randomized sweep: every op family, >= 100 cases total
 

@@ -243,6 +243,22 @@ def test_eval_foreign_labels_are_exit_2(tmp_path, capsys):
     assert "galaxy" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_with_null_parameter_is_exit_2(tmp_path, capsys):
+    setup_tree(tmp_path)
+    model = JointModel(ModelConfig(d_p=8, d_h=8), SCHEMA,
+                       Vocabulary.from_corpus(CORPUS))
+    save_checkpoint(tmp_path / "model.json", model)
+    obj = json.loads((tmp_path / "model.json").read_text())
+    obj["params"]["re.b_out"]["data"][0] = None
+    (tmp_path / "model.json").write_text(json.dumps(obj))
+    config = config_file(tmp_path, name="eval.json",
+                         checkpoint="model.json", test_corpus="train.jsonl",
+                         report="report.json")
+    assert main(["eval", "--config", config]) == 2
+    assert "model.json: params.re.b_out" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

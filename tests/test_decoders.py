@@ -49,7 +49,7 @@ def oracle_decode(streams, store, prefix="head"):
 
 def fake_output(rec, t, d_h, rng):
     tilde = {p: rec.leaf(rng.standard_normal((t, d_h))) for p in SUBTASKS}
-    return DamOutput(h_tilde=tilde, hidden=tilde, final_state=None, trace=None)
+    return DamOutput(h_tilde=tilde, hidden=tilde, trace=None)
 
 
 # ---------------------------------------------------------------------------

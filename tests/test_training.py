@@ -2,14 +2,20 @@
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import darter.autodiff as ad
+import darter.training as training
+from darter import synthetic
 from darter.autodiff import ContractError, ParamStore, Record, constant
 from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
-                           Sentence, Vocabulary, entity_mask, gold_tables)
+                           Sentence, Vocabulary, entity_mask, gold_tables,
+                           load_corpus)
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import ConfigError, JointModel, ModelConfig
 from darter.training import (Adam, GridPoint, LossWeights, TrainConfig,
@@ -346,3 +352,257 @@ def test_history_file(tmp_path):
     save_history(path, [3.0, 2.5, 2.25])
     obj = json.loads(path.read_text(encoding="utf-8"))
     assert obj == {"epoch_mean_loss": [3.0, 2.5, 2.25]}
+
+
+def test_checkpoint_write_failure_keeps_the_previous_file(tmp_path,
+                                                          monkeypatch):
+    model = JointModel(tiny_config(), SCHEMA, VOCAB)
+    checkpoint, history = tmp_path / "model.json", tmp_path / "history.json"
+    save_checkpoint(checkpoint, model)
+    save_history(history, [1.0, 0.5])
+    before = {path: path.read_bytes() for path in (checkpoint, history)}
+
+    def failing_dump(obj, handle, **kwargs):
+        handle.write('{"format": "darter-checkpoint", "par')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(training.json, "dump", failing_dump)
+    model.store.zero_all()
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(checkpoint, model)
+    with pytest.raises(OSError, match="disk full"):
+        save_history(history, [0.25])
+    for path, data in before.items():
+        assert path.read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == ["history.json", "model.json"]
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, JointModel(tiny_config(), SCHEMA, VOCAB))
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", ["config", "schema", "vocab", "params"])
+def test_checkpoint_missing_key_is_config_error(tmp_path, key):
+    path, obj = _saved_checkpoint(tmp_path)
+    del obj[key]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"model.json: {key}: "
+                                                    f"missing")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["shape", "data"])
+def test_checkpoint_parameter_missing_field_is_config_error(tmp_path, field):
+    path, obj = _saved_checkpoint(tmp_path)
+    del obj["params"]["ner.b_out"][field]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"model.json: params.ner.b_out.{field}: missing")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf, "x"])
+def test_checkpoint_parameter_bad_value_is_config_error(tmp_path, bad):
+    path, obj = _saved_checkpoint(tmp_path)
+    obj["params"]["dam0.w_f"]["data"][3] = bad
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=re.escape("model.json: params.dam0.w_f: ")):
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# the fused loss node and the flat Adam against their composed references
+
+
+def composed_bce(probs, gold, mask=None, eps=1e-7):
+    """The entity/relation BCE as a chain of elementary nodes: clamp, two
+    logs, three products, an affine, an add, a sum and a final affine."""
+    gold = np.asarray(gold, dtype=np.float64)
+    p = ad.clamp(probs, eps, 1.0 - eps)
+    hit = ad.mul(constant(gold), ad.log(p))
+    miss = ad.mul(constant(1.0 - gold),
+                  ad.log(ad.affine_const(p, -1.0, 1.0)))
+    cells = ad.add(hit, miss)
+    if mask is not None:
+        cells = ad.mul(cells, constant(np.asarray(mask, dtype=np.float64)))
+    return ad.affine_const(ad.sum_all(cells), -1.0, 0.0)
+
+
+def _bce_value_and_grad(loss_fn, probs, gold, mask, eps):
+    rec = Record()
+    leaf = rec.leaf(probs)
+    loss = ad.affine_const(loss_fn(leaf, gold, mask, eps), 0.85, 0.0)
+    rec.backward(loss)
+    return loss.values, rec.grad(leaf)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("eps", [1e-3, 1e-7, 1e-16])
+def test_fused_bce_matches_composed_chain_bit_for_bit(masked, eps):
+    rng = np.random.default_rng(int(-math.log10(eps)) + 10 * masked)
+    # sigmoid outputs, like the heads': 1 - p is then rarely exact
+    probs = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, (5, 5, 3))))
+    # saturated cells, cells on and just inside the clamp bounds
+    probs.flat[:8] = (0.0, 1.0, eps, 1.0 - eps, eps / 2, 1.0 - eps / 2,
+                      eps * 1.5, 1.0 - eps * 1.5)
+    gold = (rng.uniform(size=probs.shape) > 0.5).astype(float)
+    gold.flat[:8] = (1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
+    mask = (np.triu(np.ones((5, 5)))[:, :, None] * np.ones(3)
+            if masked else None)
+    fused = _bce_value_and_grad(bce_sum, probs, gold, mask, eps)
+    composed = _bce_value_and_grad(composed_bce, probs, gold, mask, eps)
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # a table's sum can round a last-bit difference of one cell away
+    for p, y in zip(probs.ravel(), gold.ravel()):
+        cell = constant(np.full((1, 1), p))
+        assert (bce_sum(cell, np.full((1, 1), y), eps=eps).values.tobytes()
+                == composed_bce(cell, np.full((1, 1), y), eps=eps)
+                .values.tobytes())
+
+
+@pytest.mark.parametrize("probs, eps, message", [
+    ([0.0, 0.5], 0.0, "strictly positive"),       # log(0)
+    ([0.5, 1.0], 1e-300, "strictly positive"),    # 1 - eps rounds to 1
+    ([0.2, 0.5], 0.5, "lo < hi"),
+    ([0.2, 0.5], 0.75, "lo < hi"),
+])
+def test_fused_bce_keeps_the_clamp_and_log_contracts(probs, eps, message):
+    probs = constant(np.array([probs]))
+    gold = np.array([[1.0, 0.0]])
+    for loss_fn in (bce_sum, composed_bce):
+        with pytest.raises(ContractError, match=message):
+            loss_fn(probs, gold, None, eps)
+
+
+class ReferenceAdam:
+    """Adam as the per-array formula, one named parameter at a time."""
+
+    def __init__(self, store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.store, self.lr = store, lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self._m = {n: np.zeros_like(store[n]) for n in store.names()}
+        self._v = {n: np.zeros_like(store[n]) for n in store.names()}
+
+    def step(self, grads):
+        self.step_count += 1
+        t = self.step_count
+        for name in self.store.names():
+            g, m, v = grads[name], self._m[name], self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            self.store.set_(name, self.store[name]
+                            - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+
+
+def test_flat_adam_matches_per_name_reference_bit_for_bit():
+    def store():
+        s = ParamStore(9)
+        s.add_uniform("w", (3, 4), fan_in=3)
+        s.add_zeros("b", (4,))
+        s.add_ones("still", (2, 2))     # never receives a gradient
+        return s
+
+    flat_store, ref_store = store(), store()
+    flat, ref = Adam(flat_store, lr=0.03), ReferenceAdam(ref_store, lr=0.03)
+    rng = np.random.default_rng(4)
+    for step in range(7):
+        grads = {"w": rng.standard_normal((3, 4)),
+                 "b": rng.standard_normal(4) if step % 3 else np.zeros(4),
+                 "still": np.zeros((2, 2))}
+        flat.step({k: g.copy() for k, g in grads.items()})
+        ref.step(grads)
+        for name in ref_store.names():
+            assert flat_store[name].tobytes() == ref_store[name].tobytes()
+    npt.assert_array_equal(flat_store["still"], np.ones((2, 2)))
+
+
+def reference_train(model, sentences, config, weights):
+    """The fit loop built from the composed loss and the per-name Adam:
+    every batch sums its gradients into zeros and then scales them."""
+    schema, cfg = model.schema, model.config
+    prepared = [(model.vocab.encode(s.tokens), *gold_tables(s, schema),
+                 entity_mask(len(s), schema.u, cfg.match_mode,
+                             cfg.mask_reversed_entity_cells))
+                for s in sentences]
+    rng = np.random.default_rng(config.seed)
+    optimizer = ReferenceAdam(model.store, config.lr)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(prepared))
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            grads = {n: np.zeros_like(model.store[n])
+                     for n in model.store.names()}
+            for idx in batch:
+                ids, entity_gold, relation_gold, mask = prepared[idx]
+                forward = model.forward(ids)
+                eps = config.clamp_eps
+                loss = ad.add(
+                    ad.affine_const(composed_bce(forward.entities.probs,
+                                                 entity_gold, mask, eps),
+                                    weights.gamma, 0.0),
+                    ad.affine_const(composed_bce(forward.relations.probs,
+                                                 relation_gold, None, eps),
+                                    weights.delta, 0.0))
+                total += loss.item()
+                forward.record.backward(loss)
+                for name in grads:
+                    grad = forward.record.grad(forward.bound[name])
+                    if grad is not None:
+                        grads[name] += grad
+            scale = 1.0 / len(batch)
+            optimizer.step({n: g * scale for n, g in grads.items()})
+        history.append(total / len(prepared))
+    return history
+
+
+def bundled_corpus():
+    corpus_path, schema_path = synthetic.synthetic_paths()
+    schema = LabelSchema.load(schema_path)
+    sentences = load_corpus(corpus_path, schema, MatchMode.EXACT)
+    return schema, sentences, Vocabulary.from_corpus(sentences)
+
+
+@pytest.mark.parametrize("variant, batch_size", [("darter", 1),
+                                                 ("bidarter", 3)])
+def test_train_reproduces_the_composed_reference_bit_for_bit(variant,
+                                                             batch_size):
+    schema, sentences, vocab = bundled_corpus()
+    config = TrainConfig(lr=1e-2, epochs=2, batch_size=batch_size, seed=5)
+    weights = LossWeights(gamma=0.85, delta=0.75)
+    runs = []
+    for fit in (train, reference_train):
+        model = JointModel(ModelConfig(variant=variant, seed=3), schema,
+                           vocab)
+        runs.append((fit(model, sentences, config, weights), model.store))
+    (history, store), (ref_history, ref_store) = runs
+    assert [h.hex() for h in history] == [h.hex() for h in ref_history]
+    for name in ref_store.names():
+        assert store[name].tobytes() == ref_store[name].tobytes(), name
+
+
+def test_training_step_node_budget():
+    """A stock darter step records one loss node per table plus the
+    weighted sum; the whole step stays within its node budget."""
+    schema, sentences, vocab = bundled_corpus()
+    model = JointModel(ModelConfig(variant="darter"), schema, vocab)
+    s = sentences[0]
+    forward = model.forward(vocab.encode(s.tokens))
+    before = len(forward.record.nodes)
+    entity_gold, relation_gold = gold_tables(s, schema)
+    sentence_loss(forward, entity_gold, relation_gold,
+                  entity_mask(len(s), schema.u, MatchMode.EXACT),
+                  LossWeights())
+    assert len(forward.record.nodes) - before <= 5
+    assert len(forward.record.nodes) <= 43
