@@ -218,6 +218,22 @@ def affine_const(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     return _emit("affine_const", (a,), out, backward)
 
 
+def add_mix(base: Tensor, plus: Tensor, minus: Tensor, alpha: float,
+            beta: float) -> Tensor:
+    """base + (plus * alpha - minus * beta) as one node, in the order of
+    add(base, sub(affine_const(plus, alpha), affine_const(minus, beta))),
+    so it gives that chain's values."""
+    bv = base.values
+    if plus.values.shape != bv.shape or minus.values.shape != bv.shape:
+        raise ShapeError(f"add_mix requires identical shapes, got {bv.shape}, "
+                         f"{plus.values.shape} and {minus.values.shape}")
+    mix = plus.values * alpha
+    mix -= minus.values * beta
+    out = np.add(bv, mix, out=mix)
+    return _emit("add_mix", (base, plus, minus), out,
+                 lambda g: (g, g * alpha, g * -beta))
+
+
 # ---------------------------------------------------------------------------
 # activations and pointwise functions
 
@@ -227,8 +243,13 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(av: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-av))
+    """1 / (1 + exp(-av)) with the argument clamped at -709, where exp
+    still fits a float64, so it never overflows."""
+    x = np.maximum(av, -709.0)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -236,8 +257,12 @@ def sigmoid(a: Tensor) -> Tensor:
     return _emit("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
-def _elu(av: np.ndarray) -> np.ndarray:
-    return np.where(av > 0, av, np.expm1(av))
+def _elu(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ELU as max(x, expm1(min(x, 0))): expm1(x) > x below 0, and the
+    positive side reads expm1(0) = 0. `out` may be `av` itself."""
+    neg = np.minimum(av, 0.0)
+    np.expm1(neg, out=neg)
+    return np.maximum(av, neg, out=out)
 
 
 def _elu_slope(out: np.ndarray) -> np.ndarray:
@@ -295,6 +320,33 @@ def _normalize(av: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 def _row_mean(av: np.ndarray) -> np.ndarray:
     """Mean over the last axis, kept: np.mean's bits at less call cost."""
     return np.add.reduce(av, axis=-1, keepdims=True) / av.shape[-1]
+
+
+def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
+    """Layer-norm statistics of every pair row sides[i, 0] + sides[j, 1]
+    from per-token parts. Centres `sides` [t, 2, d] in place and returns
+    the inverse deviations 1 / sqrt(var + eps), [t, t, 1].
+
+    A pair row's mean is the sum of its sides' means, and for centred sides
+    c its squared norm is |c_i|^2 + |c_j|^2 + 2 c_i . c_j. Where c_j is
+    close to -c_i that sum cancels and loses digits, or even rounds below
+    zero, so the pairs where it falls under 2^-10 of |c_i|^2 + |c_j|^2 are
+    summed again from their rows.
+    """
+    sides -= _row_mean(sides)
+    sq = np.add.reduce(sides * sides, axis=-1)   # [t, 2]
+    total = sq[:, :1] + sq[:, 1]
+    ssq = sides[:, 0].dot(sides[:, 1].T)
+    ssq *= 2.0
+    ssq += total
+    i, j = np.nonzero(ssq * 1024.0 < total)
+    if i.size:
+        rows = sides[i, 0] + sides[j, 1]
+        ssq[i, j] = np.add.reduce(rows * rows, axis=-1)
+    d = sides.shape[-1]                  # var = ssq / d, so the inverse
+    ssq += d * eps                       # deviation is
+    np.sqrt(ssq, out=ssq)                # sqrt(d) / sqrt(ssq + d * eps)
+    return np.divide(math.sqrt(d), ssq, out=ssq)[:, :, None]
 
 
 def _layer_norm_backward(g, xhat, inv, gv):
@@ -553,9 +605,14 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
     of token i then token j; it is projected by w_pair [2 * n * w, d_h],
     shifted by b_pair, layer-normalized, passed through ELU, mapped by
     w_out and b_out, and squashed by a sigmoid. The projection is
-    factorised: every token is projected once as i and once as j, and the
-    two [t, d_h] results are broadcast-added into [t, t, d_h], so the
-    [t * t, 2 * n * w] pair matrix never exists.
+    factorised: every token is projected once as i and once as j, so the
+    [t * t, 2 * n * w] pair matrix never exists. The layer norm's
+    statistics are factorised too (`_pair_norm_stats`): they come from the
+    two centred [t, d_h] sides and one [t, t] product. The [t, t, d_h]
+    table is then built once, gain-scaled side plus gain-scaled side, and
+    normalized, shifted and passed through ELU in place before one
+    [t * t, d_h] GEMM. Backward rebuilds the normalized table from the
+    centred sides.
     """
     values = [s.values for s in streams]
     shape = values[0].shape
@@ -573,20 +630,28 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
     # rows of w_pair, per stream: w reading token i, then w reading token j
     w_ij = wv.reshape(n, 2, w, d_h).transpose(0, 2, 1, 3).reshape(n * w,
                                                                    2 * d_h)
-    proj = feats.dot(w_ij)                        # [t, 2 * d_h]: as i, as j
-    pre = proj[:, None, :d_h] + (proj[:, d_h:] + b_pair.values)
-    xhat, inv = _normalize(pre, eps)
+    sides = feats.dot(w_ij).reshape(t, 2, d_h)   # each token as i, as j
+    sides[:, 1] += b_pair.values
+    inv = _pair_norm_stats(sides, eps)
     gv = gain.values
-    hidden = _elu(xhat * gv + bias.values)
+    scaled = sides * gv
+    hidden = scaled[:, None, 0] + scaled[None, :, 1]    # the one table
+    hidden *= inv
+    hidden += bias.values
+    _elu(hidden, out=hidden)
     w_outv = w_out.values
-    probs = _sigmoid(hidden.dot(w_outv) + b_out.values)
+    width = w_outv.shape[1]
+    logits = hidden.reshape(t * t, d_h).dot(w_outv)
+    logits += b_out.values
+    probs = _sigmoid(logits).reshape(t, t, width)
 
     def backward(g):
         dlogits = g * probs * (1.0 - probs)
         dw_out = (hidden.reshape(t * t, d_h).T
-                  @ dlogits.reshape(t * t, dlogits.shape[-1]))
+                  @ dlogits.reshape(t * t, width))
         db_out = dlogits.sum(axis=(0, 1))
         dnorm = dlogits.dot(w_outv.T) * _elu_slope(hidden)
+        xhat = (sides[:, None, 0] + sides[None, :, 1]) * inv
         dpre, dgain, dbias = _layer_norm_backward(dnorm, xhat, inv, gv)
         dproj = np.concatenate((dpre.sum(axis=1), dpre.sum(axis=0)), axis=1)
         db_pair = dproj[:, d_h:].sum(axis=0)
@@ -615,7 +680,7 @@ def bce(probs: Tensor, gold: np.ndarray, eps: float,
     lo, hi = eps, 1.0 - eps
     if not lo < hi:
         raise ContractError(f"clamp bounds must satisfy lo < hi, got {lo}, {hi}")
-    p = np.clip(av, lo, hi)
+    p = np.minimum(np.maximum(av, lo), hi)
     q = 1.0 - p
     # with 0 < lo and hi < 1 every clamped value and its complement is
     # positive (or NaN, which log accepts too)

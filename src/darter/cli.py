@@ -17,7 +17,7 @@ from pathlib import Path
 from .autodiff import ContractError
 from .corpus import (CorpusError, Entity, LabelSchema, MatchMode, Relation,
                      Sentence, Vocabulary, load_corpus, relation_anchor,
-                     save_corpus)
+                     save_corpus, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig, VARIANTS
@@ -109,12 +109,6 @@ def _loss_weights(run: dict) -> LossWeights:
                           f"{sorted(set(section) - known)}") from None
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -153,7 +147,7 @@ def cmd_eval(args) -> int:
     report = evaluate_corpus(corpus, model.predict_corpus(corpus),
                              model.schema, scoring_mode)
     report_path = _output_path(args, run, "report")
-    _write_json(report_path, report)
+    write_json(report_path, report, indent=2)
     print(f"evaluated {len(corpus)} sentences ({scoring_mode.value} match): "
           f"ner F1 {report['ner']['micro']['f1']:.4f}, "
           f"re F1 {report['re']['micro']['f1']:.4f}")
@@ -225,7 +219,7 @@ def cmd_gridsearch(args) -> int:
         gammas=_grid_values(run, "gammas", GAMMA_DELTA_GRID),
         deltas=_grid_values(run, "deltas", GAMMA_DELTA_GRID))
     out_path = _output_path(args, run, "grid_results")
-    _write_json(out_path, result.to_json())
+    write_json(out_path, result.to_json(), indent=2)
     best = result.best
     print(f"swept {len(result.points)} grid points; best alpha={best.alpha} "
           f"beta={best.beta} gamma={best.gamma} delta={best.delta} "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,35 @@ __all__ = [
     "sentence_from_json",
     "sentence_to_json",
     "split_oot_it",
+    "write_atomically",
+    "write_json",
 ]
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+def write_atomically(path, write) -> None:
+    """Call write(handle) on a temporary file beside `path`, then rename it
+    over `path`, so a failed write leaves any previous file as it was."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):         # the write failed
+            os.unlink(temp)
+
+
+def write_json(path, obj, indent: int | None = None) -> None:
+    """One JSON document and a newline, written atomically."""
+    def write(handle):
+        json.dump(obj, handle, indent=indent)
+        handle.write("\n")
+
+    write_atomically(path, write)
 
 
 class CorpusError(ValueError):
@@ -124,11 +153,9 @@ class LabelSchema:
         return cls(tuple(obj["entity_types"]), tuple(obj["relation_types"]))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"entity_types": list(self.entity_types),
-                       "relation_types": list(self.relation_types)},
-                      handle, indent=2)
-            handle.write("\n")
+        write_json(path, {"entity_types": list(self.entity_types),
+                          "relation_types": list(self.relation_types)},
+                   indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +285,13 @@ def load_corpus(path, schema: LabelSchema,
 
 
 def save_corpus(path, sentences) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    def write(handle):
         for sentence in sentences:
             handle.write(json.dumps(sentence_to_json(sentence),
                                     ensure_ascii=False))
             handle.write("\n")
+
+    write_atomically(path, write)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ContractError, ParamStore, Tensor, add, affine_const,
-                       pair_scores, sub)
+from .autodiff import (ContractError, ParamStore, Tensor, add, add_mix,
+                       affine_const, pair_scores, sub)
 from .encoder import DamOutput
 
 ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
@@ -103,9 +103,8 @@ def relation_stream(out: DamOutput, alpha: float, beta: float,
     if not entity_features:
         return out.h_tilde["r"]
     _check_alpha_beta(alpha, beta)
-    mix = sub(affine_const(out.h_tilde["o"], alpha),
-              affine_const(out.h_tilde["s"], beta))
-    return add(out.h_tilde["r"], mix)
+    h = out.h_tilde
+    return add_mix(h["r"], h["o"], h["s"], alpha, beta)
 
 
 def pair_decode(streams: list[Tensor], head: DecoderParams) -> Tensor:
@@ -168,15 +167,14 @@ def threshold_predictions(e: EntityLogits, r: RelationLogits,
                           diagonal_only: bool = False) -> PredictionSet:
     """Strictly-above-tau cells; entity cells below the diagonal are
     ignored, and in tail-only mode everything off it is too."""
-    ev = e.probs.values
-    rv = r.probs.values
-    entities = set()
-    for i, j, k in zip(*np.nonzero(ev > tau)):
-        if diagonal_only and i != j:
-            continue
-        if i <= j:
-            entities.add((int(i), int(j), int(k)))
-    relations = {(int(i), int(m), int(l))
-                 for i, m, l in zip(*np.nonzero(rv > tau))}
+    hit = e.probs.values > tau
+    if diagonal_only:
+        i, k = (a.tolist() for a in np.nonzero(np.diagonal(hit).T))
+        entities = zip(i, i, k)
+    else:                                # np.triu masks the last two axes
+        k, i, j = (a.tolist() for a in np.nonzero(np.triu(
+            hit.transpose(2, 0, 1))))
+        entities = zip(i, j, k)
+    relations = zip(*(a.tolist() for a in np.nonzero(r.probs.values > tau)))
     return PredictionSet(entities=frozenset(entities),
                          relations=frozenset(relations))

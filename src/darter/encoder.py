@@ -14,6 +14,7 @@ indexes (s, r, o), the same trick LSTM kernels use for their fused gates.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ class DamOutput:
     """Per-subtask feature streams of one layer, in token order."""
 
     h_tilde: dict[str, Tensor]      # p -> [t, d_h]
-    hidden: dict[str, Tensor]       # p -> [t, d_h]
+    hidden: Mapping[str, Tensor]    # p -> [t, d_h]
     trace: list[TraceStep] | None
 
 
@@ -195,6 +196,27 @@ def _stream_dict(stacked: Tensor, field: int) -> dict[str, Tensor]:
             for k, p in enumerate(SUBTASKS)}
 
 
+class _LazyStreams(Mapping):
+    """`_stream_dict(stacked, field)`, made on the first read, so a field
+    nobody reads (the last layer's hidden streams) records no nodes."""
+
+    def __init__(self, stacked: Tensor, field: int):
+        self._stacked = stacked
+        self._field = field
+        self._views: dict[str, Tensor] | None = None
+
+    def __getitem__(self, p: str) -> Tensor:
+        if self._views is None:
+            self._views = _stream_dict(self._stacked, self._field)
+        return self._views[p]
+
+    def __iter__(self):
+        return iter(SUBTASKS)
+
+    def __len__(self) -> int:
+        return len(SUBTASKS)
+
+
 def encode_sequence(x: Tensor, params: DamParams,
                     direction: Direction = Direction.LEFT_TO_RIGHT,
                     interaction: bool = True,
@@ -232,8 +254,8 @@ def encode_sequence(x: Tensor, params: DamParams,
         trace = [TraceStep(i, *(at(key, i).copy() for key in (
                      "z", "f", "ctil", "inter", "a", "h_tilde", "c", "h")))
                  for i in order]
-    return DamOutput(h_tilde=_stream_dict(out, 0), hidden=_stream_dict(out, 1),
-                     trace=trace)
+    return DamOutput(h_tilde=_stream_dict(out, 0),
+                     hidden=_LazyStreams(out, 1), trace=trace)
 
 
 def layer_direction(layer_index: int) -> Direction:

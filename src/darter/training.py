@@ -11,14 +11,13 @@ F1, then entity F1, then first in enumeration order.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import ContractError, Tensor, add, affine_const, bce
 from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
-                     gold_tables)
+                     gold_tables, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig
@@ -91,7 +90,7 @@ def bce_sum(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
     if gold.shape != probs.shape:
         raise ContractError(
             f"gold shape {gold.shape} != probs shape {probs.shape}")
-    if not np.all((gold == 0.0) | (gold == 1.0)):
+    if not ((gold == 0.0) | (gold == 1.0)).all():
         raise ContractError("gold tables must be binary")
     if mask is not None:
         if mask.shape != probs.shape:
@@ -309,22 +308,8 @@ def grid_search(config: ModelConfig, schema: LabelSchema, vocab: Vocabulary,
 # artifacts
 
 
-def _write_json(path, obj) -> None:
-    """Write JSON to a temporary file beside `path`, then rename it over
-    `path`, so a failed write leaves any previous file as it was."""
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle)
-            handle.write("\n")
-        os.replace(temp, path)
-    finally:
-        if os.path.exists(temp):         # the write failed
-            os.unlink(temp)
-
-
 def save_checkpoint(path, model: JointModel) -> None:
-    _write_json(path, {
+    write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_json(),
@@ -392,4 +377,4 @@ def load_checkpoint(path) -> JointModel:
 
 
 def save_history(path, history) -> None:
-    _write_json(path, {"epoch_mean_loss": list(history)})
+    write_json(path, {"epoch_mean_loss": list(history)})

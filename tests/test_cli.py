@@ -1,6 +1,7 @@
 """Command-line workflows: exit codes, file outputs, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -387,3 +388,46 @@ def test_gridsearch_rejects_off_grid_values(tmp_path, capsys):
         grid={"alphas": [0.25]}))
     assert main(["gridsearch", "--config", config]) == 2
     assert "alphas" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# atomic outputs
+
+def _fail_json_dump_partway(monkeypatch):
+    def failing_dump(obj, handle, **kwargs):
+        handle.write('{"ner": {"micro": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+
+
+def test_eval_report_write_failure_keeps_the_previous_file(tmp_path,
+                                                           monkeypatch):
+    trained_model_path(tmp_path, epochs=2)
+    config = config_file(tmp_path, name="eval.json",
+                         checkpoint="model.json", test_corpus="train.jsonl",
+                         report="report.json")
+    assert main(["eval", "--config", config]) == 0
+    before = (tmp_path / "report.json").read_bytes()
+    names = sorted(os.listdir(tmp_path))
+    _fail_json_dump_partway(monkeypatch)
+    assert main(["eval", "--config", config]) == 1
+    assert (tmp_path / "report.json").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == names
+
+
+def test_grid_results_write_failure_keeps_the_previous_file(tmp_path,
+                                                            monkeypatch):
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        dev_corpus="dev.jsonl", grid_results="grid.json",
+        grid={"alphas": [1.0], "betas": [1.0], "gammas": [1.0],
+              "deltas": [1.0]},
+        train={"lr": 0.01, "epochs": 1, "seed": 3}))
+    assert main(["gridsearch", "--config", config]) == 0
+    before = (tmp_path / "grid.json").read_bytes()
+    names = sorted(os.listdir(tmp_path))
+    _fail_json_dump_partway(monkeypatch)
+    assert main(["gridsearch", "--config", config]) == 1
+    assert (tmp_path / "grid.json").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == names

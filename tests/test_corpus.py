@@ -1,6 +1,7 @@
 """Corpus loading, validation, gold tables, and splits."""
 
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -289,3 +290,45 @@ def test_entity_mask_shapes_and_counts():
     tail = entity_mask(4, 3, MatchMode.TAIL)
     assert tail.sum() == 4 * 3
     assert tail[1, 1, 2] == 1.0 and tail[0, 1, 2] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+def test_schema_write_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "schema.json"
+    SCHEMA.save(path)
+    before = path.read_bytes()
+
+    def failing_dump(obj, handle, **kwargs):
+        handle.write('{"entity_types": ["per", ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        LabelSchema(("loc",), ("near",)).save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["schema.json"]
+
+
+def test_corpus_write_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+    corpus = [sent(["ada", "runs"], entities=[(0, 0, "per")]),
+              sent(["the", "mill"], entities=[(1, 1, "loc")])]
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, corpus[1:])
+    before = path.read_bytes()
+    real_dumps = json.dumps
+    written = []
+
+    def failing_dumps(obj, **kwargs):    # fails on the second sentence
+        if written:
+            raise OSError("disk full")
+        written.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(path, corpus)
+    assert written
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]

@@ -8,7 +8,8 @@ import darter.autodiff as ad
 from darter.autodiff import ParamStore, Record, constant
 from darter.decoders import (DecoderParams, EntityLogits, RelationLogits,
                              bi_decode, decode_streams, ner_decode,
-                             pair_decode, re_decode, threshold_predictions)
+                             pair_decode, re_decode, relation_stream,
+                             threshold_predictions)
 from darter.encoder import SUBTASKS, DamOutput
 from darter.gradcheck import max_relative_error, numeric_gradients
 
@@ -295,3 +296,63 @@ def test_decoder_gradients_finite_differences():
     numeric = numeric_gradients(lambda: loss(False)[1].item(), store)
     err = max_relative_error(analytic, numeric)
     assert err <= 1e-4, f"decoder gradient mismatch: {err:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# the fused relation stream and the vectorised thresholding
+
+def test_relation_stream_matches_the_composed_chain():
+    rng = np.random.default_rng(27)
+    weights = constant(rng.standard_normal((4, 3)))
+    for alpha, beta in [(-1.0, 1.0), (0.5, 0.5), (1.0, -1.0), (1.0, 1.0)]:
+        values = {p: rng.standard_normal((4, 3)) for p in SUBTASKS}
+        values["s"] = values["o"] if alpha == beta else values["s"]
+        results = []
+        for fused in (True, False):
+            rec = Record()
+            h = {p: rec.leaf(v) for p, v in values.items()}
+            if fused:
+                out = DamOutput(h_tilde=h, hidden=h, trace=None)
+                feats = relation_stream(out, alpha, beta)
+            else:
+                feats = ad.add(h["r"], ad.sub(ad.affine_const(h["o"], alpha),
+                                              ad.affine_const(h["s"], beta)))
+            rec.backward(ad.sum_all(ad.mul(feats, weights)))
+            results.append((feats.values,
+                            [rec.grad(h[p]) for p in SUBTASKS]))
+        (fused_v, fused_g), (chain_v, chain_g) = results
+        npt.assert_array_equal(fused_v, chain_v)
+        for got, want in zip(fused_g, chain_g):
+            npt.assert_array_equal(got, want)
+
+
+def reference_threshold(ev, rv, tau, diagonal_only):
+    entities = set()
+    for i, j, k in zip(*np.nonzero(ev > tau)):
+        if diagonal_only and i != j:
+            continue
+        if i <= j:
+            entities.add((int(i), int(j), int(k)))
+    relations = {(int(i), int(m), int(l))
+                 for i, m, l in zip(*np.nonzero(rv > tau))}
+    return frozenset(entities), frozenset(relations)
+
+
+@pytest.mark.parametrize("diagonal_only", [False, True])
+def test_threshold_matches_a_reference_loop(diagonal_only):
+    rng = np.random.default_rng(28)
+    for t in (1, 2, 5, 17):
+        for tau in (0.3, 0.5, 0.9):
+            e = rng.uniform(0, 1, (t, t, 3))
+            r = rng.uniform(0, 1, (t, t, 2))
+            e[rng.uniform(size=e.shape) < 0.2] = tau     # exactly at tau
+            r[rng.uniform(size=r.shape) < 0.2] = tau
+            e[t - 1, 0, 0] = 0.95                        # a reversed span
+            pred = threshold_predictions(*_logits(e, r), tau=tau,
+                                         diagonal_only=diagonal_only)
+            entities, relations = reference_threshold(e, r, tau,
+                                                      diagonal_only)
+            assert pred.entities == entities
+            assert pred.relations == relations
+            cells = pred.entities | pred.relations
+            assert all(type(v) is int for cell in cells for v in cell)

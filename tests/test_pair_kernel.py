@@ -1,0 +1,159 @@
+"""The fused pair-scoring head against a two-pass numpy reference, its
+cancellation case and gradients, and the shared pointwise helpers."""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+import darter.autodiff as ad
+from darter.autodiff import ParamStore, Record, constant
+from darter.decoders import DecoderParams
+from darter.gradcheck import max_relative_error, numeric_gradients
+
+EPS = 1e-5
+
+
+def head_params(rng, n, w, d_h, width):
+    bound = 1.0 / np.sqrt(2 * n * w)
+    return dict(w_pair=rng.uniform(-bound, bound, (2 * n * w, d_h)),
+                b_pair=rng.uniform(-0.5, 0.5, d_h),
+                gain=rng.uniform(0.5, 1.5, d_h),
+                bias=rng.uniform(-0.3, 0.3, d_h),
+                w_out=rng.uniform(-1.0, 1.0, (d_h, width)) / np.sqrt(d_h),
+                b_out=rng.uniform(-0.5, 0.5, width))
+
+
+def two_pass_head(streams, p):
+    """Every pair row formed in full, projected, centred, and normalized by
+    the mean square of the centred row."""
+    t = streams[0].shape[0]
+    parts = []
+    for x in streams:
+        parts += [np.broadcast_to(x[:, None, :], (t, t, x.shape[1])),
+                  np.broadcast_to(x[None, :, :], (t, t, x.shape[1]))]
+    pre = np.concatenate(parts, axis=-1) @ p["w_pair"] + p["b_pair"]
+    centred = pre - pre.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    x = centred / np.sqrt(var + EPS) * p["gain"] + p["bias"]
+    hidden = np.where(x > 0, x, np.expm1(x))
+    return 1.0 / (1.0 + np.exp(-(hidden @ p["w_out"] + p["b_out"])))
+
+
+def kernel(streams, p):
+    return ad.pair_scores([constant(s) for s in streams],
+                          *(constant(p[k]) for k in ("w_pair", "b_pair",
+                                                     "gain", "bias", "w_out",
+                                                     "b_out")))
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 40])
+@pytest.mark.parametrize("n", [1, 2])
+def test_pair_scores_match_two_pass_reference(t, n):
+    rng = np.random.default_rng(100 * t + n)
+    for d_h in (2, 3, 5, 8):
+        for scale in (1.0, 10.0, 100.0):
+            p = head_params(rng, n, d_h, d_h, 3)
+            streams = [scale * rng.standard_normal((t, d_h))
+                       for _ in range(n)]
+            got = kernel(streams, p).values
+            want = two_pass_head(streams, p)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                err_msg=f"d_h={d_h} scale={scale}")
+
+
+def cancelling_head(rng, d_h, t):
+    """One stream whose token-j projection is minus its token-i one, and
+    repeated tokens: every pair of equal tokens cancels exactly."""
+    p = head_params(rng, 1, d_h, d_h, 2)
+    w_i = p["w_pair"][:d_h]
+    p["w_pair"] = np.vstack([w_i, -w_i])
+    p["b_pair"] = np.zeros(d_h)
+    tokens = rng.standard_normal((3, d_h))
+    return p, tokens[rng.integers(0, 3, t)]
+
+
+@pytest.mark.parametrize("d_h", [2, 3, 8])
+def test_cancelling_pairs_match_the_reference(d_h):
+    rng = np.random.default_rng(d_h)
+    for scale in (1.0, 10.0):
+        p, x = cancelling_head(rng, d_h, 12)
+        got = kernel([scale * x], p).values
+        assert np.isfinite(got).all()
+        npt.assert_allclose(got, two_pass_head([scale * x], p), rtol=0,
+                            atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+def test_cancelling_pairs_never_have_negative_variance(scale):
+    rng = np.random.default_rng(7)
+    t, d_h = 40, 8
+    side = scale * rng.standard_normal((t, d_h))
+    sides = np.stack([side, -side[rng.permutation(t)]], axis=1)
+    sides[:, 1] += rng.standard_normal(d_h)          # moved by a constant
+    centred = sides.copy()
+    inv = ad._pair_norm_stats(centred, EPS)
+    assert inv.shape == (t, t, 1)
+    # var >= 0 exactly when 1 / sqrt(var + eps) <= 1 / sqrt(eps); NaN fails
+    assert np.all(inv <= EPS ** -0.5)
+    rows = centred[:, None, 0] + centred[None, :, 1]
+    want = 1.0 / np.sqrt((rows * rows).mean(axis=-1, keepdims=True) + EPS)
+    npt.assert_allclose(inv, want, rtol=1e-12)
+    p, x = cancelling_head(rng, d_h, t)
+    assert np.isfinite(kernel([scale * x], p).values).all()
+
+
+@pytest.mark.parametrize("t,n,d_h", [(1, 1, 2), (2, 2, 2), (3, 1, 3),
+                                     (4, 2, 2), (6, 1, 4), (6, 2, 3)])
+def test_pair_scores_gradients_finite_differences(t, n, d_h):
+    rng = np.random.default_rng(10 * t + d_h)
+    store = ParamStore(t)
+    DecoderParams.register(store, "head", n, d_h, 2)
+    p = head_params(rng, n, d_h, d_h, 2)
+    names = {"w_pair": "w_pair", "b_pair": "b_pair", "gain": "ln_gain",
+             "bias": "ln_bias", "w_out": "w_out", "b_out": "b_out"}
+    for key, name in names.items():
+        store.set_(f"head.{name}", p[key])
+    for k in range(n):
+        store.add_uniform(f"x{k}", (t, d_h), fan_in=1)
+    weights = rng.standard_normal((t, t, 2))
+
+    def loss(record):
+        bound = store.bind(record)
+        head = DecoderParams.bind(bound, "head")
+        probs = ad.pair_scores([bound[f"x{k}"] for k in range(n)],
+                               head.w_pair, head.b_pair, head.ln_gain,
+                               head.ln_bias, head.w_out, head.b_out)
+        return ad.sum_all(ad.mul(probs, constant(weights))), bound
+
+    rec = Record()
+    value, bound = loss(rec)
+    rec.backward(value)
+    analytic = {name: rec.grad(leaf) for name, leaf in bound.items()}
+    numeric = numeric_gradients(
+        lambda: loss(Record(recording=False))[0].item(), store, step=1e-6)
+    err = max_relative_error(analytic, numeric)
+    assert err <= 1e-6, f"pair_scores gradient mismatch: {err:.2e}"
+
+
+def test_elu_matches_the_masked_form():
+    x = np.array([0.0, -0.0, 1e-300, -1e-300, -5e-324, -1e-8, -0.5, -30.0,
+                  -800.0, -np.inf, 0.25, 3.0, 1e300, np.inf, np.nan])
+    with np.errstate(over="ignore"):     # expm1 of the large positives
+        want = np.where(x > 0, x, np.expm1(x))
+    npt.assert_array_equal(ad._elu(x), want)
+    in_place = x.copy()
+    assert ad._elu(in_place, out=in_place) is in_place
+    npt.assert_array_equal(in_place, want)
+
+
+def test_sigmoid_keeps_its_bits_and_never_overflows():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-709.0, 40.0, 1000),
+                        [-709.0, -40.0, 0.0, 36.0, 800.0, np.inf]])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+    npt.assert_array_equal(ad._sigmoid(x), want)
+    with np.errstate(over="raise"):
+        low = ad._sigmoid(np.array([-709.5, -800.0, -1e308, -np.inf]))
+    assert np.all((low >= 0.0) & (low < 1e-307))
+    assert np.isnan(ad._sigmoid(np.array([np.nan]))).all()

@@ -606,3 +606,24 @@ def test_training_step_node_budget():
                   LossWeights())
     assert len(forward.record.nodes) - before <= 5
     assert len(forward.record.nodes) <= 43
+
+
+@pytest.mark.parametrize("variant,budget", [("darter", 37), ("bidarter", 58)])
+def test_forward_and_loss_node_budget(variant, budget):
+    """Every bundled sentence's forward and loss stay within the budget,
+    and the last layer's unread hidden streams record no views."""
+    schema, sentences, vocab = bundled_corpus()
+    model = JointModel(ModelConfig(variant=variant), schema, vocab)
+    for s in sentences:
+        forward = model.forward(vocab.encode(s.tokens))
+        entity_gold, relation_gold = gold_tables(s, schema)
+        sentence_loss(forward, entity_gold, relation_gold,
+                      entity_mask(len(s), schema.u, MatchMode.EXACT),
+                      LossWeights())
+        nodes = forward.record.nodes
+        assert len(nodes) <= budget
+        last = max(i for i, node in enumerate(nodes)
+                   if node.tag == "dam_sequence")
+        views = [node for node in nodes
+                 if node.tag == "index" and node.input_ids == (last,)]
+        assert len(views) == 3           # h_tilde's s, r and o
