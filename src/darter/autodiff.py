@@ -257,10 +257,12 @@ def sigmoid(a: Tensor) -> Tensor:
     return _emit("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
-def _elu(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _elu(av: np.ndarray, out: np.ndarray | None = None,
+         work: np.ndarray | None = None) -> np.ndarray:
     """ELU as max(x, expm1(min(x, 0))): expm1(x) > x below 0, and the
-    positive side reads expm1(0) = 0. `out` may be `av` itself."""
-    neg = np.minimum(av, 0.0)
+    positive side reads expm1(0) = 0. `out` may be `av` itself; `work`, an
+    array of av's shape, takes the negative branch."""
+    neg = np.minimum(av, 0.0, out=work)
     np.expm1(neg, out=neg)
     return np.maximum(av, neg, out=out)
 
@@ -550,7 +552,9 @@ def dam_sequence(z: Tensor, w_f: Tensor, b_f: Tensor, w_c: Tensor,
         da_out = g[0] * (1.0 - h_tilde * h_tilde)
         dtanh_h = 1.0 - h_all * h_all
         dp_scale = fs_all * (1.0 - ctil_all * ctil_all)
-        w_abt, w_fct = w_ab.T, w_all[:, width:].T
+        # one contiguous copy: as a strided view, every token's product
+        # would repack it
+        w_abt, w_fct = w_ab.T, np.ascontiguousarray(w_all[:, width:].T)
         dc_all = np.empty((t, width))
         dpre = np.empty((t, 2 * width))  # d(f + inter), d(ctil's argument)
         dh = dc_next = dfs_next = np.zeros(width)   # from the later step
@@ -595,6 +599,23 @@ def dam_sequence(z: Tensor, w_f: Tensor, b_f: Tensor, w_c: Tensor,
                   "h": h_all}
 
 
+# Pair-table elements pair_scores holds at once: 256 kB of float64 per
+# buffer, so a block and its ELU temporary stay in a core's L2 cache.
+_PAIR_BLOCK = 2 ** 15
+
+
+def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
+                lo: int, hi: int, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """Pair rows lo:hi of a head's hidden table,
+    ELU((scaled[i, 0] + scaled[j, 1]) * inv[i, j] + bias), [hi - lo, t, d],
+    computed in `out` with `work` as ELU's temporary (new arrays if None)."""
+    block = np.add(scaled[lo:hi, None, 0], scaled[None, :, 1], out=out)
+    block *= inv[lo:hi]
+    block += bias
+    return _elu(block, out=block, work=work)
+
+
 def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
                 gain: Tensor, bias: Tensor, w_out: Tensor, b_out: Tensor,
                 eps: float = 1e-5) -> Tensor:
@@ -608,11 +629,16 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
     factorised: every token is projected once as i and once as j, so the
     [t * t, 2 * n * w] pair matrix never exists. The layer norm's
     statistics are factorised too (`_pair_norm_stats`): they come from the
-    two centred [t, d_h] sides and one [t, t] product. The [t, t, d_h]
-    table is then built once, gain-scaled side plus gain-scaled side, and
-    normalized, shifted and passed through ELU in place before one
-    [t * t, d_h] GEMM. Backward rebuilds the normalized table from the
-    centred sides.
+    two centred [t, d_h] sides and one [t, t] product.
+
+    Nor does a [t, t, d_h] hidden table larger than _PAIR_BLOCK elements
+    exist whole: it streams through one buffer of at most that size (one
+    pair row, if a row is larger), a block of pair rows at a time
+    (`_pair_block`: gain-scaled side plus gain-scaled side, normalized,
+    shifted, ELU), and one GEMM per block writes that block's logits.
+    Backward visits the same blocks and recomputes each one; a table that
+    fits in one block is kept from the forward instead. It rebuilds the
+    normalized rows from the centred sides.
     """
     values = [s.values for s in streams]
     shape = values[0].shape
@@ -633,27 +659,51 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
     sides = feats.dot(w_ij).reshape(t, 2, d_h)   # each token as i, as j
     sides[:, 1] += b_pair.values
     inv = _pair_norm_stats(sides, eps)
-    gv = gain.values
+    gv, bv = gain.values, bias.values
     scaled = sides * gv
-    hidden = scaled[:, None, 0] + scaled[None, :, 1]    # the one table
-    hidden *= inv
-    hidden += bias.values
-    _elu(hidden, out=hidden)
     w_outv = w_out.values
     width = w_outv.shape[1]
-    logits = hidden.reshape(t * t, d_h).dot(w_outv)
+    rows = _PAIR_BLOCK // max(1, t * d_h)
+    if rows >= t:                        # one block: kept for backward
+        blocks = [(0, t)]
+        hidden = _pair_block(scaled, inv, bv, 0, t)
+        logits = hidden.reshape(t * t, d_h).dot(w_outv)
+    else:                                # streamed through one buffer
+        rows = max(rows, 1)
+        blocks = [(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
+        buf, work = np.empty((2, rows, t, d_h))
+        hidden = None
+        logits = np.empty((t * t, width))
+        for lo, hi in blocks:
+            block = _pair_block(scaled, inv, bv, lo, hi, buf[:hi - lo],
+                                work[:hi - lo])
+            np.dot(block.reshape(-1, d_h), w_outv, out=logits[lo * t:hi * t])
     logits += b_out.values
     probs = _sigmoid(logits).reshape(t, t, width)
 
     def backward(g):
         dlogits = g * probs * (1.0 - probs)
-        dw_out = (hidden.reshape(t * t, d_h).T
-                  @ dlogits.reshape(t * t, width))
         db_out = dlogits.sum(axis=(0, 1))
-        dnorm = dlogits.dot(w_outv.T) * _elu_slope(hidden)
-        xhat = (sides[:, None, 0] + sides[None, :, 1]) * inv
-        dpre, dgain, dbias = _layer_norm_backward(dnorm, xhat, inv, gv)
-        dproj = np.concatenate((dpre.sum(axis=1), dpre.sum(axis=0)), axis=1)
+        w_outt = w_outv.T
+        dproj = np.empty((t, 2 * d_h))   # row sums as i, column sums as j
+        for lo, hi in blocks:
+            h = hidden if hidden is not None else _pair_block(
+                scaled, inv, bv, lo, hi, buf[:hi - lo], work[:hi - lo])
+            dl = dlogits[lo:hi]
+            dw = h.reshape(-1, d_h).T @ dl.reshape(-1, width)
+            dnorm = dl.dot(w_outt) * _elu_slope(h)
+            xhat = (sides[lo:hi, None, 0] + sides[None, :, 1]) * inv[lo:hi]
+            dpre, dg, db = _layer_norm_backward(dnorm, xhat, inv[lo:hi], gv)
+            dproj[lo:hi, :d_h] = dpre.sum(axis=1)
+            cols = dpre.sum(axis=0)
+            if lo == 0:                  # so that one block gives its bits
+                dw_out, dgain, dbias = dw, dg, db
+                dproj[:, d_h:] = cols
+            else:
+                dw_out += dw
+                dgain += dg
+                dbias += db
+                dproj[:, d_h:] += cols
         db_pair = dproj[:, d_h:].sum(axis=0)
         dw_pair = (feats.T @ dproj).reshape(n, w, 2, d_h).transpose(
             0, 2, 1, 3).reshape(2 * n * w, d_h)
@@ -666,13 +716,14 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
 
 
 def bce(probs: Tensor, gold: np.ndarray, eps: float,
-        mask: np.ndarray | None = None) -> Tensor:
-    """-sum(mask * (gold * log(p) + (1 - gold) * log(1 - p))) with
+        mask: np.ndarray | None = None, weight: float = 1.0) -> Tensor:
+    """-sum(mask * (gold * log(p) + (1 - gold) * log(1 - p))) * weight with
     p = clamp(probs, eps, 1 - eps), as one node.
 
     gold and mask are float arrays of probs' shape. Forward and backward
-    repeat the composed clamp/log/mul/sum chain's arithmetic in its order,
-    so both give its bits, and `clamp`'s and `log`'s checks still hold.
+    repeat the arithmetic of the composed clamp/log/mul/sum chain followed
+    by affine_const(., weight, 0.0) in its order, so both give its bits,
+    and `clamp`'s and `log`'s checks still hold.
     """
     av = probs.values
     if gold.shape != av.shape or mask is not None and mask.shape != av.shape:
@@ -691,9 +742,10 @@ def bce(probs: Tensor, gold: np.ndarray, eps: float,
     cells += miss * np.log(q)
     if mask is not None:
         cells *= mask
-    out = np.asarray(cells.sum() * -1.0 + 0.0)
+    out = np.asarray((cells.sum() * -1.0 + 0.0) * weight + 0.0)
 
     def backward(g):
+        g = g * weight
         dcells = g * -1.0 if mask is None else (g * -1.0) * mask
         dp = dcells * gold
         dp /= p
@@ -720,6 +772,11 @@ class ParamStore:
     contiguous vector, in insertion order, and `set_` and `zero_all` write
     through the views. Registering a parameter afterwards drops the
     vector; the next read of `flat` builds a new one.
+
+    Binding to a record that does not record hands out one cached set of
+    untracked Tensors over the live arrays, so in-place writes to the
+    parameters (`set_`, Adam, gradient checks) show through them; it is
+    rebuilt whenever the named arrays are replaced.
     """
 
     def __init__(self, seed: int):
@@ -727,12 +784,13 @@ class ParamStore:
         self._rng = np.random.default_rng(self.seed)
         self._arrays: dict[str, np.ndarray] = {}
         self._flat: np.ndarray | None = None
+        self._untracked: dict[str, Tensor] | None = None
 
     def _register(self, name: str, arr: np.ndarray) -> np.ndarray:
         if name in self._arrays:
             raise ContractError(f"duplicate parameter name: {name}")
         self._arrays[name] = arr
-        self._flat = None
+        self._flat = self._untracked = None
         return arr
 
     @property
@@ -751,6 +809,7 @@ class ParamStore:
                 arr.shape)
             offset += arr.size
         self._flat = flat
+        self._untracked = None
 
     def add_uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
         if fan_in < 1:
@@ -798,8 +857,11 @@ class ParamStore:
         return dup
 
     def bind(self, record: Record) -> dict[str, Tensor]:
-        """Register every parameter as a tracked leaf on `record`."""
-        if not record.recording:         # arrays are float64 already
-            return {name: Tensor(arr, record, None)
-                    for name, arr in self._arrays.items()}
+        """Register every parameter as a tracked leaf on `record`; one that
+        does not record gets the cached untracked Tensors."""
+        if not record.recording:
+            if self._untracked is None:  # arrays are float64 already
+                self._untracked = {name: Tensor(arr)
+                                   for name, arr in self._arrays.items()}
+            return dict(self._untracked)
         return {name: record.leaf(arr) for name, arr in self._arrays.items()}

@@ -39,6 +39,9 @@ def _load_run_config(path) -> dict:
             run = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not UTF-8 text: {exc.reason}") from None
     if not isinstance(run, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     unknown = set(run) - set(_PATH_KEYS) - set(_SECTION_KEYS)
@@ -87,26 +90,25 @@ def _model_config(run: dict, args) -> ModelConfig:
     return ModelConfig.from_json(section)
 
 
+def _section(run: dict, key: str, cls) -> dict:
+    """A copy of the config's `key` section, whose keys must be fields of
+    the dataclass `cls`."""
+    section = dict(run.get(key, {}))
+    unknown = set(section) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
+    return section
+
+
 def _train_config(run: dict, args) -> TrainConfig:
-    section = dict(run.get("train", {}))
+    section = _section(run, "train", TrainConfig)
     if args.seed is not None:
         section["seed"] = args.seed
-    try:
-        return TrainConfig(**section)
-    except TypeError:
-        known = set(TrainConfig.__dataclass_fields__)
-        raise ConfigError(f"unknown train keys "
-                          f"{sorted(set(section) - known)}") from None
+    return TrainConfig(**section)
 
 
 def _loss_weights(run: dict) -> LossWeights:
-    section = run.get("loss", {})
-    try:
-        return LossWeights(**section)
-    except TypeError:
-        known = set(LossWeights.__dataclass_fields__)
-        raise ConfigError(f"unknown loss keys "
-                          f"{sorted(set(section) - known)}") from None
+    return LossWeights(**_section(run, "loss", LossWeights))
 
 
 # ---------------------------------------------------------------------------

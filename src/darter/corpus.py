@@ -143,6 +143,9 @@ class LabelSchema:
                 obj = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: malformed JSON: {exc.msg}") from None
+            except UnicodeDecodeError as exc:
+                raise CorpusError(
+                    f"{path}: not UTF-8 text: {exc.reason}") from None
         if (not isinstance(obj, dict)
                 or set(obj) != {"entity_types", "relation_types"}
                 or not isinstance(obj["entity_types"], list)
@@ -267,20 +270,25 @@ def sentence_to_json(sentence: Sentence) -> dict:
 
 def load_corpus(path, schema: LabelSchema,
                 mode: MatchMode = MatchMode.EXACT) -> list[Sentence]:
-    sentences = []
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(
-                    f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
-            try:
-                sentences.append(sentence_from_json(obj, schema, mode))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{line_no}: {exc}") from None
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"{path}: not UTF-8 text: {exc.reason}") from None
+    sentences = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(
+                f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
+        try:
+            sentences.append(sentence_from_json(obj, schema, mode))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{line_no}: {exc}") from None
     return sentences
 
 

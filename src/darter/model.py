@@ -9,6 +9,8 @@ per-layer streams side by side.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .autodiff import ParamStore, Record, Tensor, take
@@ -27,6 +29,27 @@ _LAYERS_BY_VARIANT = {"darter": 1, "bidarter": 2}
 
 class ConfigError(ValueError):
     """Raised when a model configuration is inconsistent."""
+
+
+def check_types(config, integers=(), reals=(), flags=()) -> None:
+    """Check the types of a frozen config's fields, naming the first bad
+    one in a ConfigError: `integers` hold ints (an integral float becomes
+    its int), `reals` finite numbers, `flags` booleans. A boolean or a
+    string is never a number."""
+    for name in integers + reals:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if name in integers:
+            if value != int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(config, name, int(value))
+    for name in flags:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +73,11 @@ class ModelConfig:
         if self.n_layers is None:
             object.__setattr__(self, "n_layers",
                                _LAYERS_BY_VARIANT[self.variant])
-        if not isinstance(self.n_layers, int) or self.n_layers < 1:
+        check_types(self, integers=("n_layers", "d_p", "d_h", "seed"),
+                    reals=("alpha", "beta"),
+                    flags=("interaction", "entity_features_in_re",
+                           "mask_reversed_entity_cells"))
+        if self.n_layers < 1:
             raise ConfigError("n_layers must be a positive integer")
         if self.variant == "bidarter" and self.n_layers != 2:
             raise ConfigError("the bidirectional variant uses exactly "
@@ -66,6 +93,8 @@ class ModelConfig:
                     f"{name} must be one of {ALPHA_BETA_GRID}, got {value}")
         if not isinstance(self.match_mode, MatchMode):
             raise ConfigError("match_mode must be a MatchMode")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def to_json(self) -> dict:
         return {

@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, add, affine_const, bce
+from .autodiff import ContractError, Tensor, add, bce
 from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
                      gold_tables, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
-from .model import ConfigError, JointModel, ModelConfig
+from .model import ConfigError, JointModel, ModelConfig, check_types
 
 __all__ = [
     "Adam",
@@ -55,6 +55,7 @@ class LossWeights:
     delta: float = 1.0  # relation-table weight
 
     def __post_init__(self):
+        check_types(self, reals=("gamma", "delta"))
         if self.gamma < 0 or self.delta < 0:
             raise ConfigError("loss weights must be non-negative")
 
@@ -68,6 +69,8 @@ class TrainConfig:
     clamp_eps: float = 1e-7
 
     def __post_init__(self):
+        check_types(self, integers=("epochs", "batch_size", "seed"),
+                    reals=("lr", "clamp_eps"))
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
         if self.epochs < 0:
@@ -76,6 +79,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if not 0.0 < self.clamp_eps <= 1e-3:
             raise ConfigError("clamp_eps must lie in (0, 1e-3]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +88,9 @@ class TrainConfig:
 
 
 def bce_sum(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
-            eps: float = 1e-7) -> Tensor:
-    """Binary cross-entropy summed over (unmasked) table cells, as one
-    autodiff node (`autodiff.bce`)."""
+            eps: float = 1e-7, weight: float = 1.0) -> Tensor:
+    """Binary cross-entropy summed over (unmasked) table cells and scaled
+    by `weight`, as one autodiff node (`autodiff.bce`)."""
     gold = np.asarray(gold, dtype=np.float64)
     if gold.shape != probs.shape:
         raise ContractError(
@@ -97,16 +102,18 @@ def bce_sum(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
             raise ContractError(
                 f"mask shape {mask.shape} != probs shape {probs.shape}")
         mask = np.asarray(mask, dtype=np.float64)
-    return bce(probs, gold, eps, mask)
+    return bce(probs, gold, eps, mask, weight)
 
 
 def sentence_loss(forward, entity_gold: np.ndarray, relation_gold: np.ndarray,
                   mask: np.ndarray | None, weights: LossWeights,
                   eps: float = 1e-7) -> Tensor:
-    ner = bce_sum(forward.entities.probs, entity_gold, mask, eps)
-    re = bce_sum(forward.relations.probs, relation_gold, None, eps)
-    return add(affine_const(ner, weights.gamma, 0.0),
-               affine_const(re, weights.delta, 0.0))
+    """gamma * entity-table BCE + delta * relation-table BCE: three nodes,
+    with the weights applied inside the BCE nodes."""
+    return add(bce_sum(forward.entities.probs, entity_gold, mask, eps,
+                       weights.gamma),
+               bce_sum(forward.relations.probs, relation_gold, None, eps,
+                       weights.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +352,9 @@ def load_checkpoint(path) -> JointModel:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not UTF-8 text: {exc.reason}") from None
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a model checkpoint")
     if obj.get("version") != CHECKPOINT_VERSION:

@@ -556,6 +556,62 @@ def test_paramstore_register_after_flat_was_read():
     npt.assert_array_equal(flat[8:], np.ones(3))
 
 
+def test_untracked_binding_is_cached_and_sees_perturbations():
+    store = _views_store()
+    store.flat                           # the arrays become views
+    bound = store.bind(Record(recording=False))
+    again = store.bind(Record(recording=False))
+    assert all(again[name] is tensor for name, tensor in bound.items())
+    assert all(t.node_id is None for t in bound.values())
+
+    def forward():
+        b = store.bind(Record(recording=False))
+        return ad.sum_all(ad.matmul(b["w"], ad.reshape(b["b"], (2, 1))))
+
+    base = forward().item()
+    flat = store["w"].reshape(-1)        # as numeric_gradients perturbs
+    orig = flat[0]
+    flat[0] = orig + 0.5
+    assert forward().item() == pytest.approx(base + 0.5 * store["b"][0],
+                                             rel=1e-14)
+    flat[0] = orig
+    assert forward().item() == base
+    assert forward().values.tobytes() == ad.sum_all(ad.matmul(
+        constant(store["w"]), constant(store["b"].reshape(2, 1)))
+    ).values.tobytes()
+
+
+def test_copied_store_binds_its_own_tensors():
+    store = _views_store()
+    store.flat                           # the arrays become views
+    bound = store.bind(Record(recording=False))
+    dup = store.copy()
+    dup_bound = dup.bind(Record(recording=False))
+    for name in store.names():
+        assert dup_bound[name] is not bound[name]
+        assert np.shares_memory(dup_bound[name].values, dup.flat)
+        assert not np.shares_memory(dup_bound[name].values,
+                                    bound[name].values)
+    dup.set_("b", np.full(2, 3.0))
+    npt.assert_array_equal(bound["b"].values, [1.0, 1.0])
+    npt.assert_array_equal(dup_bound["b"].values, [3.0, 3.0])
+
+
+def test_registering_a_parameter_drops_the_cached_binding():
+    store = _views_store()
+    first = store.bind(Record(recording=False))
+    store.add_zeros("c", (3,))
+    second = store.bind(Record(recording=False))
+    assert list(second) == ["w", "b", "c"] and "c" not in first
+    flat = store.flat                    # replaces the arrays with views
+    third = store.bind(Record(recording=False))
+    for name in store.names():
+        assert third[name].values is store[name]
+        assert np.shares_memory(third[name].values, flat)
+    store.flat[-1] = 4.0
+    assert third["c"].values[-1] == 4.0
+
+
 # ---------------------------------------------------------------------------
 # randomized sweep: every op family, >= 100 cases total
 

@@ -431,3 +431,64 @@ def test_grid_results_write_failure_keeps_the_previous_file(tmp_path,
     assert main(["gridsearch", "--config", config]) == 1
     assert (tmp_path / "grid.json").read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == names
+
+
+# ---------------------------------------------------------------------------
+# config field types and file encodings
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("model", "d_p", "4", "d_p must be a number, got '4'"),
+    ("model", "d_p", 4.5, "d_p must be an integer, got 4.5"),
+    ("model", "alpha", True, "alpha must be a number, got True"),
+    ("model", "seed", "x", "seed must be a number, got 'x'"),
+    ("model", "interaction", "no", "interaction must be true or false"),
+    ("train", "epochs", 1.5, "epochs must be an integer, got 1.5"),
+    ("train", "lr", "x", "lr must be a number, got 'x'"),
+    ("train", "batch_size", True, "batch_size must be a number, got True"),
+    ("train", "seed", "x", "seed must be a number, got 'x'"),
+    ("loss", "gamma", float("nan"), "gamma must be finite, got nan"),
+    ("loss", "delta", float("inf"), "delta must be finite, got inf"),
+])
+def test_bad_config_field_type_is_exit_2(tmp_path, capsys, section, key,
+                                         value, message):
+    setup_tree(tmp_path)
+    entries = train_entries()
+    entries.setdefault(section, {})[key] = value
+    config = config_file(tmp_path, **entries)
+    assert main(["train", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "unknown" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_integral_float_sizes_are_accepted_as_integers(tmp_path):
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        model={"d_p": 8.0, "d_h": 8, "seed": 3},
+        train={"lr": 0.01, "epochs": 2.0, "seed": 3}))
+    assert main(["train", "--config", config]) == 0
+    saved = json.loads((tmp_path / "model.json").read_text())["config"]
+    assert saved["d_p"] == 8 and isinstance(saved["d_p"], int)
+
+
+NOT_UTF8 = b'{"tokens": ["caf\xe9"]}\n'
+
+
+@pytest.mark.parametrize("name", ["run.json", "schema.json", "train.jsonl"])
+def test_non_utf8_train_input_is_exit_2(tmp_path, capsys, name):
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries())
+    (tmp_path / name).write_bytes(NOT_UTF8)
+    assert main(["train", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: not UTF-8 text" in err
+
+
+def test_non_utf8_checkpoint_is_exit_2(tmp_path, capsys):
+    setup_tree(tmp_path)
+    (tmp_path / "model.json").write_bytes(NOT_UTF8)
+    config = config_file(tmp_path, checkpoint="model.json",
+                         test_corpus="dev.jsonl", report="report.json")
+    assert main(["eval", "--config", config]) == 2
+    assert "model.json: not UTF-8 text" in capsys.readouterr().err

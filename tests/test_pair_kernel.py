@@ -1,5 +1,8 @@
 """The fused pair-scoring head against a two-pass numpy reference, its
-cancellation case and gradients, and the shared pointwise helpers."""
+cancellation case and gradients, its table streamed in blocks of pair rows,
+and the shared pointwise helpers."""
+
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -157,3 +160,130 @@ def test_sigmoid_keeps_its_bits_and_never_overflows():
         low = ad._sigmoid(np.array([-709.5, -800.0, -1e308, -np.inf]))
     assert np.all((low >= 0.0) & (low < 1e-307))
     assert np.isnan(ad._sigmoid(np.array([np.nan]))).all()
+
+
+# ---------------------------------------------------------------------------
+# the table streamed in blocks of pair rows
+
+def block_rows(monkeypatch, rows, t, d_h):
+    """Make pair_scores stream tables of length t in blocks of `rows` pair
+    rows (rows >= t: one block)."""
+    monkeypatch.setattr(ad, "_PAIR_BLOCK", rows * t * d_h)
+
+
+@pytest.mark.parametrize("t", [5, 40])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_blocked_forward_matches_reference_and_one_block(monkeypatch, t,
+                                                        rows, n):
+    rng = np.random.default_rng(1000 + 10 * t + rows + n)
+    for d_h in (2, 5, 8):
+        p = head_params(rng, n, d_h, d_h, 3)
+        streams = [rng.standard_normal((t, d_h)) for _ in range(n)]
+        block_rows(monkeypatch, t, t, d_h)
+        whole = kernel(streams, p).values
+        block_rows(monkeypatch, rows, t, d_h)    # t % 3 != 0: ragged end
+        got = kernel(streams, p).values
+        npt.assert_allclose(got, two_pass_head(streams, p), rtol=0,
+                            atol=1e-12, err_msg=f"d_h={d_h}")
+        npt.assert_allclose(got, whole, rtol=0, atol=1e-14,
+                            err_msg=f"d_h={d_h}")
+        rec = Record()
+        recorded = ad.pair_scores(
+            [rec.leaf(s) for s in streams],
+            *(rec.leaf(p[k]) for k in ("w_pair", "b_pair", "gain", "bias",
+                                       "w_out", "b_out")))
+        assert recorded.node_id is not None
+        assert recorded.values.tobytes() == got.tobytes()
+
+
+def head_loss(store, n, weights):
+    def loss(record):
+        bound = store.bind(record)
+        head = DecoderParams.bind(bound, "head")
+        probs = ad.pair_scores([bound[f"x{k}"] for k in range(n)],
+                               head.w_pair, head.b_pair, head.ln_gain,
+                               head.ln_bias, head.w_out, head.b_out)
+        return ad.sum_all(ad.mul(probs, constant(weights))), bound
+    return loss
+
+
+def head_store(rng, t, n, d_h):
+    store = ParamStore(t)
+    DecoderParams.register(store, "head", n, d_h, 2)
+    p = head_params(rng, n, d_h, d_h, 2)
+    for key, name in {"w_pair": "w_pair", "b_pair": "b_pair",
+                      "gain": "ln_gain", "bias": "ln_bias",
+                      "w_out": "w_out", "b_out": "b_out"}.items():
+        store.set_(f"head.{name}", p[key])
+    for k in range(n):
+        store.add_uniform(f"x{k}", (t, d_h), fan_in=1)
+    return store
+
+
+def analytic_gradients(loss):
+    rec = Record()
+    value, bound = loss(rec)
+    rec.backward(value)
+    return {name: rec.grad(leaf) for name, leaf in bound.items()}
+
+
+@pytest.mark.parametrize("t,n,d_h,rows", [(5, 1, 3, 1), (6, 2, 2, 4),
+                                          (7, 2, 3, 3)])
+def test_blocked_gradients_finite_differences(monkeypatch, t, n, d_h, rows):
+    rng = np.random.default_rng(20 * t + rows)
+    store = head_store(rng, t, n, d_h)
+    loss = head_loss(store, n, rng.standard_normal((t, t, 2)))
+    block_rows(monkeypatch, t, t, d_h)
+    whole = analytic_gradients(loss)
+    block_rows(monkeypatch, rows, t, d_h)
+    analytic = analytic_gradients(loss)
+    for name, grad in whole.items():
+        npt.assert_allclose(analytic[name], grad, rtol=1e-12, atol=1e-14,
+                            err_msg=name)
+    numeric = numeric_gradients(
+        lambda: loss(Record(recording=False))[0].item(), store, step=1e-6)
+    err = max_relative_error(analytic, numeric)
+    assert err <= 1e-6, f"blocked pair_scores gradient mismatch: {err:.2e}"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])      # t = 5: 5 is one block
+def test_backward_twice_gives_the_same_gradients(monkeypatch, rows):
+    t, n, d_h = 5, 2, 3
+    rng = np.random.default_rng(rows)
+    store = head_store(rng, t, n, d_h)
+    block_rows(monkeypatch, rows, t, d_h)
+    rec = Record()
+    value, bound = head_loss(store, n, rng.standard_normal((t, t, 2)))(rec)
+    first = {k: g.copy() for k, g in rec.backward(value).items()}
+    second = rec.backward(value)
+    assert first.keys() == second.keys()
+    for nid, grad in first.items():
+        assert grad.tobytes() == second[nid].tobytes()
+
+
+def test_long_table_memory_stays_block_sized():
+    """At t = 200, d_h = 32 the whole hidden table would be 10 MB."""
+    t, n, d_h, width = 200, 2, 32, 4
+    rng = np.random.default_rng(5)
+    p = head_params(rng, n, d_h, d_h, width)
+    streams = [rng.standard_normal((t, d_h)) for _ in range(n)]
+    mb = 2.0 ** 20
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kernel(streams, p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        rec = Record()
+        leaves = [rec.leaf(s) for s in streams] + [
+            rec.leaf(p[k]) for k in ("w_pair", "b_pair", "gain", "bias",
+                                     "w_out", "b_out")]
+        before = tracemalloc.get_traced_memory()[0]
+        head = ad.pair_scores(leaves[:n], *leaves[n:])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert head.node_id is not None
+    assert peak < 5 * mb, f"unrecorded forward peak {peak / mb:.1f} MB"
+    assert kept < 4 * mb, f"recorded head keeps {kept / mb:.1f} MB"

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import types
 
 import numpy as np
 import numpy.testing as npt
@@ -18,10 +19,10 @@ from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
                            load_corpus)
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import ConfigError, JointModel, ModelConfig
-from darter.training import (Adam, GridPoint, LossWeights, TrainConfig,
-                             TrainingDiverged, bce_sum, grid_search,
-                             load_checkpoint, save_checkpoint, save_history,
-                             sentence_loss, train)
+from darter.training import (GAMMA_DELTA_GRID, Adam, GridPoint, LossWeights,
+                             TrainConfig, TrainingDiverged, bce_sum,
+                             grid_search, load_checkpoint, save_checkpoint,
+                             save_history, sentence_loss, train)
 
 import oracles
 
@@ -627,3 +628,46 @@ def test_forward_and_loss_node_budget(variant, budget):
         views = [node for node in nodes
                  if node.tag == "index" and node.input_ids == (last,)]
         assert len(views) == 3           # h_tilde's s, r and o
+
+
+@pytest.mark.parametrize("gamma", GAMMA_DELTA_GRID)
+@pytest.mark.parametrize("delta", GAMMA_DELTA_GRID)
+def test_weighted_bce_nodes_match_the_affine_chain_bit_for_bit(gamma,
+                                                               delta):
+    """sentence_loss applies gamma and delta inside its two BCE nodes:
+    three nodes with the bits of affine_const/add over unweighted ones."""
+    rng = np.random.default_rng(int(100 * gamma + 10 * delta))
+    t, u, v = 4, 2, 3
+    probs_e = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, (t, t, u))))
+    probs_r = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, (t, t, v))))
+    gold_e = (rng.uniform(size=probs_e.shape) > 0.7).astype(float)
+    gold_r = (rng.uniform(size=probs_r.shape) > 0.8).astype(float)
+    mask = entity_mask(t, u, MatchMode.EXACT)
+    eps = 1e-7
+
+    def run(loss_fn):
+        rec = Record()
+        leaves = rec.leaf(probs_e), rec.leaf(probs_r)
+        forward = types.SimpleNamespace(
+            entities=types.SimpleNamespace(probs=leaves[0]),
+            relations=types.SimpleNamespace(probs=leaves[1]))
+        before = len(rec.nodes)
+        loss = loss_fn(forward)
+        nodes = len(rec.nodes) - before
+        rec.backward(loss)
+        return nodes, loss.values, [rec.grad(leaf) for leaf in leaves]
+
+    def chain(forward):
+        return ad.add(
+            ad.affine_const(bce_sum(forward.entities.probs, gold_e, mask,
+                                    eps), gamma, 0.0),
+            ad.affine_const(bce_sum(forward.relations.probs, gold_r, None,
+                                    eps), delta, 0.0))
+
+    nodes, value, grads = run(lambda forward: sentence_loss(
+        forward, gold_e, gold_r, mask, LossWeights(gamma, delta), eps))
+    chain_nodes, chain_value, chain_grads = run(chain)
+    assert (nodes, chain_nodes) == (3, 5)
+    assert np.asarray(value).tobytes() == np.asarray(chain_value).tobytes()
+    for got, want in zip(grads, chain_grads):
+        assert got.tobytes() == want.tobytes()
