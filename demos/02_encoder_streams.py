@@ -21,9 +21,9 @@ params = DamParams.bind(store.bind(Record()), "cell")
 x = constant(rng.standard_normal((t, d_p)))
 
 out = encode_sequence(x, params, collect_trace=True)
-print("streams:", list(out.h_tilde))
+print("stacked output (token, field, stream, unit):", out.stacked.shape)
 for p in SUBTASKS:
-    print(f"  h_tilde[{p}] shape {out.h_tilde[p].shape}")
+    print(f"  h_tilde[{p}] shape {out.stream('h_tilde', p).shape}")
 
 # The cross-stream mix is parameter-free: the subject stream receives
 # object-minus-relation, the relation stream object-minus-subject, and the
@@ -51,9 +51,7 @@ print("\nmix with interaction off:",
 rtl = encode_sequence(x, params, Direction.RIGHT_TO_LEFT)
 flipped = encode_sequence(constant(x.values[::-1].copy()), params,
                           Direction.LEFT_TO_RIGHT)
-gap = max(np.abs(rtl.h_tilde[p].values
-                 - flipped.h_tilde[p].values[::-1]).max()
-          for p in SUBTASKS)
+gap = np.abs(rtl.stacked.values - flipped.stacked.values[::-1]).max()
 print("\nright-to-left vs mirrored left-to-right, max gap:", gap)
 
 # Stacked layers alternate direction, which is what the two-layer variant

@@ -218,22 +218,6 @@ def affine_const(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     return _emit("affine_const", (a,), out, backward)
 
 
-def add_mix(base: Tensor, plus: Tensor, minus: Tensor, alpha: float,
-            beta: float) -> Tensor:
-    """base + (plus * alpha - minus * beta) as one node, in the order of
-    add(base, sub(affine_const(plus, alpha), affine_const(minus, beta))),
-    so it gives that chain's values."""
-    bv = base.values
-    if plus.values.shape != bv.shape or minus.values.shape != bv.shape:
-        raise ShapeError(f"add_mix requires identical shapes, got {bv.shape}, "
-                         f"{plus.values.shape} and {minus.values.shape}")
-    mix = plus.values * alpha
-    mix -= minus.values * beta
-    out = np.add(bv, mix, out=mix)
-    return _emit("add_mix", (base, plus, minus), out,
-                 lambda g: (g, g * alpha, g * -beta))
-
-
 # ---------------------------------------------------------------------------
 # activations and pointwise functions
 
@@ -341,7 +325,7 @@ def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
     ssq = sides[:, 0].dot(sides[:, 1].T)
     ssq *= 2.0
     ssq += total
-    i, j = np.nonzero(ssq * 1024.0 < total)
+    i, j = (ssq * 1024.0 < total).nonzero()
     if i.size:
         rows = sides[i, 0] + sides[j, 1]
         ssq[i, j] = np.add.reduce(rows * rows, axis=-1)
@@ -353,8 +337,8 @@ def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
 
 def _layer_norm_backward(g, xhat, inv, gv):
     lead = tuple(range(g.ndim - 1))
-    dgain = (g * xhat).sum(axis=lead)
-    dbias = g.sum(axis=lead)
+    dgain = np.add.reduce(g * xhat, axis=lead)
+    dbias = np.add.reduce(g, axis=lead)
     gx = g * gv
     dx = inv * (gx - _row_mean(gx) - xhat * _row_mean(gx * xhat))
     return dx, dgain, dbias
@@ -393,7 +377,7 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     if axis < 0 or axis >= av.ndim:
         raise ShapeError(f"take axis {axis} out of range for shape {av.shape}")
     # as unsigned, negative indices wrap to huge ones: one bound covers both
-    if idx.size and int(idx.view(np.uintp).max()) >= av.shape[axis]:
+    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= av.shape[axis]:
         raise ContractError(f"take index out of range for axis {axis} of "
                             f"shape {av.shape}")
     ash = av.shape
@@ -467,16 +451,23 @@ def _dam_layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return eye, positions
 
 
-def dam_sequence(z: Tensor, w_f: Tensor, b_f: Tensor, w_c: Tensor,
-                 b_c: Tensor, w_a: Tensor, b_a: Tensor, reverse: bool = False,
+_DAM_KINDS = ("w_f", "w_c", "w_a", "b_z", "b_f", "b_c", "b_a")
+
+
+def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
+                 b_f: Tensor, w_c: Tensor, b_c: Tensor, w_a: Tensor,
+                 b_a: Tensor, reverse: bool = False,
                  mix: np.ndarray | None = None
                  ) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """A whole decoupling-and-aggregation recurrence as one node.
+    """A whole decoupling-and-aggregation layer as one node.
 
-    z: [n, t, d] projected tokens for n parallel streams; w_*: [n, d, d];
-    b_*: [n, 1, d]. Tokens are visited in index order, or in reverse.
-    Each step reads the previous step's h, c, f and inter (zeros at the
-    start):
+    x is a token matrix [t, d_in], or a previous layer's output
+    [t, 2, m, d_in], whose m hidden streams are summed in stream order
+    (((h_0 + h_1) + h_2) for three) into the token matrix. n parallel
+    streams project it, z = x @ w_z + b_z, with w_z: [n, d_in, d],
+    w_f, w_c, w_a: [n, d, d] and b_*: [n, 1, d]. Tokens are visited in
+    index order, or in reverse. Each step reads the previous step's h, c,
+    f and inter (zeros at the start):
 
         f = (z_i + b_f) + h @ w_f        ctil = tanh((z_i + b_c) + h @ w_c)
         inter = mix @ f (zeros if mix is None)
@@ -488,23 +479,39 @@ def dam_sequence(z: Tensor, w_f: Tensor, b_f: Tensor, w_c: Tensor,
     into a copy of the forget weights, so one product per step yields f,
     f + inter and the candidate's argument.
 
-    Returns the output [2, t, n, d], h_tilde then h at every token index,
-    and the activations f, ctil, a, c, h as [t, n*d] rows in token order
-    (inter is mix @ f). Backward is backpropagation through time over them.
+    Returns the output [t, 2, n, d], h_tilde then h for each token, and the
+    activations: z as [n, t, d], and f, ctil, a, c as [t, n*d] rows in
+    token order (inter is mix @ f). Backward is backpropagation through
+    time over them.
     """
-    zv = z.values
-    if zv.ndim != 3:
-        raise ShapeError(f"dam_sequence needs [n, t, d] inputs, "
-                         f"got {zv.shape}")
-    n, t, d = zv.shape
-    for name, w in (("w_f", w_f), ("w_c", w_c), ("w_a", w_a)):
-        if w.values.shape != (n, d, d):
-            raise ShapeError(f"{name} must have shape {(n, d, d)}, "
-                             f"got {w.values.shape}")
-    for name, b in (("b_f", b_f), ("b_c", b_c), ("b_a", b_a)):
-        if b.values.shape != (n, 1, d):
-            raise ShapeError(f"{name} must have shape {(n, 1, d)}, "
-                             f"got {b.values.shape}")
+    xv, w_zv = x.values, w_z.values
+    if w_zv.ndim != 3:
+        raise ShapeError(f"w_z must be [n, d_in, d], got {w_zv.shape}")
+    n, d_in, d = w_zv.shape
+    square, row = (n, d, d), (n, 1, d)
+    shapes = (w_f.values.shape, w_c.values.shape, w_a.values.shape,
+              b_z.values.shape, b_f.values.shape, b_c.values.shape,
+              b_a.values.shape)
+    if shapes != (square, square, square, row, row, row, row):
+        for name, shape, want in zip(_DAM_KINDS, shapes, (square,) * 3 +
+                                     (row,) * 4):
+            if shape != want:
+                raise ShapeError(f"{name} must have shape {want}, "
+                                 f"got {shape}")
+    xsh = xv.shape
+    if xsh[1:] == (d_in,):
+        xin = xv
+    elif len(xsh) == 4 and xsh[1] == 2 and xsh[3] == d_in:
+        hidden = xv[:, 1]
+        xin = hidden[:, 0]
+        for k in range(1, xsh[2]):
+            xin = xin + hidden[:, k]
+    else:
+        raise ShapeError(f"dam_sequence reads [t, {d_in}] tokens or a "
+                         f"[t, 2, m, {d_in}] layer output, got {xsh}")
+    t = xsh[0]
+    z = np.matmul(xin, w_zv)             # [n, t, d]
+    z += b_z.values
     width = n * d
     order = range(t - 1, -1, -1) if reverse else range(t)
     eye, positions = _dam_layout(n, d)
@@ -518,38 +525,36 @@ def dam_sequence(z: Tensor, w_f: Tensor, b_f: Tensor, w_c: Tensor,
     w_ab = weights[3 * width * width:].reshape(width, width)
     b_av = b_a.values.reshape(width)
     zb = np.empty((3, n, t, d))           # the same three groups, from z
-    np.add(zv, b_f.values, out=zb[0])
+    np.add(z, b_f.values, out=zb[0])
     np.matmul(gate, zb[0].reshape(n, t * d), out=zb[1].reshape(n, t * d))
-    np.add(zv, b_c.values, out=zb[2])
+    np.add(z, b_c.values, out=zb[2])
     zb = zb.transpose(2, 0, 1, 3).reshape(t, 3 * width)
 
     pre = np.empty((t, 3 * width))       # f, f + inter, ctil, per token
+    fs_all, ctil_all = pre[:, width:2 * width], pre[:, 2 * width:]
     a_all = np.empty((t, width))
     c_all = np.empty((t, width))
-    out = np.empty((2, t, width))
-    rows = (zb, pre, a_all, c_all, out[1])   # per token, in visiting order
+    out = np.empty((t, 2, width))
+    h_all = out[:, 1]
+    # per token, in visiting order
+    rows = (zb, pre, fs_all, ctil_all, a_all, c_all, h_all)
     if reverse:
-        rows = tuple(r[::-1] for r in rows)
+        rows = tuple([r[::-1] for r in rows])
     h = c = fs = np.zeros(width)         # fs: f + inter of the previous step
-    for zb_i, pre_i, a, c_i, h_i in zip(*rows):
+    for zb_i, pre_i, fs_new, ctil, a, c_i, h_i in zip(*rows):
         np.add(zb_i, h.dot(w_all), out=pre_i)
-        fs_new = pre_i[width:2 * width]
-        ctil = pre_i[2 * width:]
         np.tanh(ctil, out=ctil)
         np.multiply(fs, c, out=a)
         a += fs_new * ctil
         fs = fs_new
         c = np.add(a.dot(w_ab), b_av, out=c_i)
         h = np.tanh(c, out=h_i)
-    np.tanh(a_all, out=out[0])
-    f_all, fs_all, ctil_all = (pre[:, k * width:(k + 1) * width]
-                               for k in range(3))
-    h_all = out[1]
+    np.tanh(a_all, out=out[:, 0])
 
     def backward(g):
-        g = g.reshape(2, t, width)
-        h_tilde = out[0]
-        da_out = g[0] * (1.0 - h_tilde * h_tilde)
+        g = g.reshape(t, 2, width)
+        h_tilde = out[:, 0]
+        da_out = g[:, 0] * (1.0 - h_tilde * h_tilde)
         dtanh_h = 1.0 - h_all * h_all
         dp_scale = fs_all * (1.0 - ctil_all * ctil_all)
         # one contiguous copy: as a strided view, every token's product
@@ -560,7 +565,7 @@ def dam_sequence(z: Tensor, w_f: Tensor, b_f: Tensor, w_c: Tensor,
         dh = dc_next = dfs_next = np.zeros(width)   # from the later step
         back = order[::-1]
         for k, i in enumerate(back):
-            dc = np.add(g[1, i], dh, out=dc_all[i])
+            dc = np.add(g[i, 1], dh, out=dc_all[i])
             dc *= dtanh_h[i]
             dc += dc_next
             da = da_out[i] + dc.dot(w_abt)
@@ -586,17 +591,25 @@ def dam_sequence(z: Tensor, w_f: Tensor, b_f: Tensor, w_c: Tensor,
         df = dfs_all if mix is None else dfs_all + np.matmul(mix.T, dfs_all)
         df = df.transpose(1, 0, 2)
         dp, dc = streams(dpre[:, width:]), streams(dc_all)
+        dz = df + dp
+        dxin = np.add.reduce(np.matmul(dz, w_zv.swapaxes(-1, -2)), axis=0)
+        if xin is xv:
+            dx = dxin
+        else:                            # every hidden stream read x
+            dx = np.zeros(xsh)
+            dx[:, 1] = dxin[:, None]
         h_in_t = streams(h_in).swapaxes(1, 2)
-        return (df + dp,
-                np.matmul(h_in_t, df), df.sum(axis=1, keepdims=True),
-                np.matmul(h_in_t, dp), dp.sum(axis=1, keepdims=True),
+        return (dx, np.matmul(xin.swapaxes(-1, -2), dz),
+                np.add.reduce(dz, axis=1, keepdims=True),
+                np.matmul(h_in_t, df), np.add.reduce(df, axis=1, keepdims=True),
+                np.matmul(h_in_t, dp), np.add.reduce(dp, axis=1, keepdims=True),
                 np.matmul(streams(a_all).swapaxes(1, 2), dc),
-                dc.sum(axis=1, keepdims=True))
+                np.add.reduce(dc, axis=1, keepdims=True))
 
-    node = _emit("dam_sequence", (z, w_f, b_f, w_c, b_c, w_a, b_a),
-                 out.reshape(2, t, n, d), backward)
-    return node, {"f": f_all, "ctil": ctil_all, "a": a_all, "c": c_all,
-                  "h": h_all}
+    node = _emit("dam_sequence", (x, w_z, b_z, w_f, b_f, w_c, b_c, w_a, b_a),
+                 out.reshape(t, 2, n, d), backward)
+    return node, {"z": z, "f": pre[:, :width], "ctil": ctil_all, "a": a_all,
+                  "c": c_all}
 
 
 # Pair-table elements pair_scores holds at once: 256 kB of float64 per
@@ -616,20 +629,40 @@ def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
     return _elu(block, out=block, work=work)
 
 
-def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
-                gain: Tensor, bias: Tensor, w_out: Tensor, b_out: Tensor,
-                eps: float = 1e-5) -> Tensor:
+# The order in which pair_scores sums a layer's weighted streams.
+_MIX_ORDER = (2, 0, 1)
+
+
+def _mix_streams(h: np.ndarray, terms, out: np.ndarray) -> None:
+    """out = the sum of h[:, k] * c over the (k, c) in `terms`, in their
+    order, with unit coefficients not multiplied; h is [t, 3, w]."""
+    parts = [h[:, k] if c == 1.0 else h[:, k] * c for k, c in terms]
+    if len(parts) > 1:
+        np.add(parts[0], parts[1], out=out)
+        for part in parts[2:]:
+            out += part
+    elif parts:
+        out[...] = parts[0]
+    else:
+        out.fill(0.0)
+
+
+def pair_scores(layers: Sequence[Tensor], coeffs: Sequence[float],
+                w_pair: Tensor, b_pair: Tensor, gain: Tensor, bias: Tensor,
+                w_out: Tensor, b_out: Tensor, eps: float = 1e-5) -> Tensor:
     """A whole pair-scoring head as one node: [t, t, width] probabilities.
 
-    The n streams are [t, w] token features of one shared width. The pair
-    feature of tokens (i, j) concatenates, stream by stream, the features
-    of token i then token j; it is projected by w_pair [2 * n * w, d_h],
-    shifted by b_pair, layer-normalized, passed through ELU, mapped by
-    w_out and b_out, and squashed by a sigmoid. The projection is
-    factorised: every token is projected once as i and once as j, so the
-    [t * t, 2 * n * w] pair matrix never exists. The layer norm's
-    statistics are factorised too (`_pair_norm_stats`): they come from the
-    two centred [t, d_h] sides and one [t, t] product.
+    The n layers are [t, 2, 3, w] encoder outputs of one shape; the head
+    reads field 0 (h_tilde) of each and mixes its three streams with the
+    coefficient triple into [t, w] token features. The
+    pair feature of tokens (i, j) concatenates, layer by layer, the
+    features of token i then token j; it is projected by w_pair
+    [2 * n * w, d_h], shifted by b_pair, layer-normalized, passed through
+    ELU, mapped by w_out and b_out, and squashed by a sigmoid. The
+    projection is factorised: every token is projected once as i and once
+    as j, so the [t * t, 2 * n * w] pair matrix never exists. The layer
+    norm's statistics are factorised too (`_pair_norm_stats`): they come
+    from the two centred [t, d_h] sides and one [t, t] product.
 
     Nor does a [t, t, d_h] hidden table larger than _PAIR_BLOCK elements
     exist whole: it streams through one buffer of at most that size (one
@@ -638,22 +671,30 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
     shifted, ELU), and one GEMM per block writes that block's logits.
     Backward visits the same blocks and recomputes each one; a table that
     fits in one block is kept from the forward instead. It rebuilds the
-    normalized rows from the centred sides.
+    normalized rows from the centred sides, and writes one dense gradient
+    per layer.
     """
-    values = [s.values for s in streams]
-    shape = values[0].shape
-    if len(shape) != 2 or any(v.shape != shape for v in values):
-        raise ShapeError(f"pair streams must be [t, w] of one shape, got "
-                         f"{[v.shape for v in values]}")
-    t, w = shape
+    values = [layer.values for layer in layers]
     n = len(values)
+    shape = values[0].shape
+    if ([v.shape for v in values] != [shape] * n or len(shape) != 4
+            or shape[1:3] != (2, len(coeffs))):
+        raise ShapeError(f"pair layers must be [t, 2, 3, w] outputs of one "
+                         f"shape, got {[v.shape for v in values]}")
+    t, w = shape[0], shape[3]
     wv = w_pair.values
     d_h = wv.shape[1]
     if wv.shape[0] != 2 * n * w:
-        raise ShapeError(f"w_pair has {wv.shape[0]} rows; {n} streams of "
+        raise ShapeError(f"w_pair has {wv.shape[0]} rows; {n} layers of "
                          f"width {w} need {2 * n * w}")
-    feats = values[0] if n == 1 else np.concatenate(values, axis=1)
-    # rows of w_pair, per stream: w reading token i, then w reading token j
+    # the features c_1 * h_1 + (c_2 * h_2 + c_0 * h_0), zero terms left
+    # out: for streams (s, r, o), s + o with (1, 0, 1) and r + (o * alpha -
+    # s * beta) with (-beta, 1, alpha), bit for bit
+    terms = [(k, coeffs[k]) for k in _MIX_ORDER if coeffs[k] != 0.0]
+    feats = np.empty((t, n * w))
+    for k, v in enumerate(values):
+        _mix_streams(v[:, 0], terms, feats[:, k * w:(k + 1) * w])
+    # rows of w_pair, per layer: w reading token i, then w reading token j
     w_ij = wv.reshape(n, 2, w, d_h).transpose(0, 2, 1, 3).reshape(n * w,
                                                                    2 * d_h)
     sides = feats.dot(w_ij).reshape(t, 2, d_h)   # each token as i, as j
@@ -665,7 +706,7 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
     width = w_outv.shape[1]
     rows = _PAIR_BLOCK // max(1, t * d_h)
     if rows >= t:                        # one block: kept for backward
-        blocks = [(0, t)]
+        blocks = ((0, t),)
         hidden = _pair_block(scaled, inv, bv, 0, t)
         logits = hidden.reshape(t * t, d_h).dot(w_outv)
     else:                                # streamed through one buffer
@@ -683,7 +724,7 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
 
     def backward(g):
         dlogits = g * probs * (1.0 - probs)
-        db_out = dlogits.sum(axis=(0, 1))
+        db_out = np.add.reduce(dlogits, axis=(0, 1))
         w_outt = w_outv.T
         dproj = np.empty((t, 2 * d_h))   # row sums as i, column sums as j
         for lo, hi in blocks:
@@ -694,8 +735,8 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
             dnorm = dl.dot(w_outt) * _elu_slope(h)
             xhat = (sides[lo:hi, None, 0] + sides[None, :, 1]) * inv[lo:hi]
             dpre, dg, db = _layer_norm_backward(dnorm, xhat, inv[lo:hi], gv)
-            dproj[lo:hi, :d_h] = dpre.sum(axis=1)
-            cols = dpre.sum(axis=0)
+            dproj[lo:hi, :d_h] = np.add.reduce(dpre, axis=1)
+            cols = np.add.reduce(dpre, axis=0)
             if lo == 0:                  # so that one block gives its bits
                 dw_out, dgain, dbias = dw, dg, db
                 dproj[:, d_h:] = cols
@@ -704,15 +745,24 @@ def pair_scores(streams: Sequence[Tensor], w_pair: Tensor, b_pair: Tensor,
                 dgain += dg
                 dbias += db
                 dproj[:, d_h:] += cols
-        db_pair = dproj[:, d_h:].sum(axis=0)
+        db_pair = np.add.reduce(dproj[:, d_h:], axis=0)
         dw_pair = (feats.T @ dproj).reshape(n, w, 2, d_h).transpose(
             0, 2, 1, 3).reshape(2 * n * w, d_h)
         dfeats = dproj @ w_ij.T
-        dstreams = [dfeats[:, k * w:(k + 1) * w] for k in range(n)]
-        return (*dstreams, dw_pair, db_pair, dgain, dbias, dw_out, db_out)
+        dlayers = []
+        for k in range(n):
+            dfeat = dfeats[:, k * w:(k + 1) * w]
+            dlayer = np.zeros(shape)
+            for j, c in enumerate(coeffs):
+                if c == 1.0:
+                    dlayer[:, 0, j] = dfeat
+                elif c != 0.0:
+                    np.multiply(dfeat, c, out=dlayer[:, 0, j])
+            dlayers.append(dlayer)
+        return (*dlayers, dw_pair, db_pair, dgain, dbias, dw_out, db_out)
 
-    inputs = (*streams, w_pair, b_pair, gain, bias, w_out, b_out)
-    return _emit("pair_scores", inputs, probs, backward)
+    return _emit("pair_scores", (*layers, w_pair, b_pair, gain, bias, w_out,
+                                 b_out), probs, backward)
 
 
 def bce(probs: Tensor, gold: np.ndarray, eps: float,
@@ -742,7 +792,8 @@ def bce(probs: Tensor, gold: np.ndarray, eps: float,
     cells += miss * np.log(q)
     if mask is not None:
         cells *= mask
-    out = np.asarray((cells.sum() * -1.0 + 0.0) * weight + 0.0)
+    out = np.asarray((np.add.reduce(cells, axis=None) * -1.0 + 0.0) * weight
+                     + 0.0)
 
     def backward(g):
         g = g * weight
@@ -856,12 +907,17 @@ class ParamStore:
         dup._view(flat)
         return dup
 
+    def untracked(self) -> dict[str, Tensor]:
+        """The cached untracked Tensors, one per parameter: the same dict
+        until the named arrays are replaced. Callers must not modify it."""
+        if self._untracked is None:      # arrays are float64 already
+            self._untracked = {name: Tensor(arr)
+                               for name, arr in self._arrays.items()}
+        return self._untracked
+
     def bind(self, record: Record) -> dict[str, Tensor]:
         """Register every parameter as a tracked leaf on `record`; one that
-        does not record gets the cached untracked Tensors."""
+        does not record gets a copy of the cached untracked Tensors."""
         if not record.recording:
-            if self._untracked is None:  # arrays are float64 already
-                self._untracked = {name: Tensor(arr)
-                                   for name, arr in self._arrays.items()}
-            return dict(self._untracked)
+            return dict(self.untracked())
         return {name: record.leaf(arr) for name, arr in self._arrays.items()}

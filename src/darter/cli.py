@@ -4,7 +4,8 @@ Each command reads a JSON config file naming its input and output paths plus
 optional ``model``, ``train``, ``loss``, and ``grid`` sections; command-line
 flags override single fields.  Relative paths in the config resolve against
 the config file's directory.  Exit codes: 0 success, 1 runtime failure
-(divergence, failed writes), 2 configuration or validation failure.
+(divergence, failed writes), 2 configuration or validation failure,
+including an input path that cannot be read.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .autodiff import ContractError
-from .corpus import (CorpusError, Entity, LabelSchema, MatchMode, Relation,
-                     Sentence, Vocabulary, load_corpus, relation_anchor,
-                     save_corpus, write_json)
+from .corpus import (CorpusError, Entity, InputError, LabelSchema,
+                     MatchMode, Relation, Sentence, Vocabulary, load_corpus,
+                     open_input, relation_anchor, save_corpus, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig, VARIANTS
@@ -34,7 +35,7 @@ _SECTION_KEYS = ("model", "train", "loss", "grid")
 
 
 def _load_run_config(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         try:
             run = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError, ContractError,
+    except (ConfigError, CorpusError, ContractError, InputError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

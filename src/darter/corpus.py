@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "CorpusError",
     "Entity",
+    "InputError",
     "LabelSchema",
     "MatchMode",
     "Relation",
@@ -31,6 +32,7 @@ __all__ = [
     "gold_relations",
     "gold_tables",
     "load_corpus",
+    "open_input",
     "relation_anchor",
     "save_corpus",
     "sentence_from_json",
@@ -56,6 +58,20 @@ def write_atomically(path, write) -> None:
     finally:
         if os.path.exists(temp):         # the write failed
             os.unlink(temp)
+
+
+class InputError(OSError):
+    """An input file cannot be opened: missing, a directory, or not
+    readable. The message names the path."""
+
+
+def open_input(path):
+    """`path` opened for reading as UTF-8 text, or an InputError."""
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: "
+                         f"{exc.strerror or exc}") from exc
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
@@ -138,7 +154,7 @@ class LabelSchema:
 
     @classmethod
     def load(cls, path) -> "LabelSchema":
-        with open(path, encoding="utf-8") as handle:
+        with open_input(path) as handle:
             try:
                 obj = json.load(handle)
             except json.JSONDecodeError as exc:
@@ -270,7 +286,7 @@ def sentence_to_json(sentence: Sentence) -> dict:
 
 def load_corpus(path, schema: LabelSchema,
                 mode: MatchMode = MatchMode.EXACT) -> list[Sentence]:
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         try:
             lines = handle.readlines()
         except UnicodeDecodeError as exc:

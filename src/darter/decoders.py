@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ContractError, ParamStore, Tensor, add, add_mix,
-                       affine_const, pair_scores, sub)
+from .autodiff import ContractError, ParamStore, Tensor, pair_scores
 from .encoder import DamOutput
 
 ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
@@ -84,57 +83,37 @@ class PredictionSet:
     relations: frozenset   # of (subject_head, object_head, type_index)
 
 
-def _check_alpha_beta(alpha: float, beta: float) -> None:
+# Stream coefficients (s, r, o) of the entity head: subject plus object.
+ENTITY_COEFFS = (1.0, 0.0, 1.0)
+
+
+def relation_coefficients(alpha: float, beta: float,
+                          entity_features: bool = True
+                          ) -> tuple[float, float, float]:
+    """Stream coefficients (s, r, o) of the relation head: the relation
+    stream plus alpha * object - beta * subject, or the relation stream
+    alone without entity features (then alpha and beta go unchecked)."""
+    if not entity_features:
+        return (0.0, 1.0, 0.0)
     for name, val in (("alpha", alpha), ("beta", beta)):
         if val not in ALPHA_BETA_GRID:
             raise ContractError(f"{name} must be one of {ALPHA_BETA_GRID}, "
                                 f"got {val}")
+    return (-beta, 1.0, alpha)
 
 
-def entity_stream(out: DamOutput) -> Tensor:
-    """Per-token entity features: subject plus object stream."""
-    return add(out.h_tilde["s"], out.h_tilde["o"])
+def pair_decode(layers: list[Tensor], coeffs, head: DecoderParams) -> Tensor:
+    """Probability table [t, t, width] from stacked encoder outputs.
 
-
-def relation_stream(out: DamOutput, alpha: float, beta: float,
-                    entity_features: bool = True) -> Tensor:
-    """Per-token relation features, optionally mixing in entity streams
-    as alpha * object - beta * subject."""
-    if not entity_features:
-        return out.h_tilde["r"]
-    _check_alpha_beta(alpha, beta)
-    h = out.h_tilde
-    return add_mix(h["r"], h["o"], h["s"], alpha, beta)
-
-
-def pair_decode(streams: list[Tensor], head: DecoderParams) -> Tensor:
-    """Probability table [t, t, width] from per-direction token features.
-
-    The pair feature for (i, j) concatenates, stream by stream, the
-    features of token i then token j. The head runs as one fused node
+    Each layer's token features mix its h_tilde streams with the (s, r, o)
+    coefficients; the pair feature for (i, j) concatenates, layer by layer,
+    the features of token i then token j. The head runs as one fused node
     (`autodiff.pair_scores`) that projects each token once per side.
     """
-    if not streams:
-        raise ContractError("pair_decode needs at least one stream")
-    return pair_scores(streams, head.w_pair, head.b_pair, head.ln_gain,
+    if not layers:
+        raise ContractError("pair_decode needs at least one layer")
+    return pair_scores(layers, coeffs, head.w_pair, head.b_pair, head.ln_gain,
                        head.ln_bias, head.w_out, head.b_out)
-
-
-def ner_decode(h_s: Tensor, h_o: Tensor, head: DecoderParams) -> EntityLogits:
-    """Single-direction entity table from subject and object features."""
-    return EntityLogits(pair_decode([add(h_s, h_o)], head))
-
-
-def re_decode(h_r: Tensor, h_s: Tensor, h_o: Tensor, head: DecoderParams,
-              alpha: float, beta: float,
-              entity_features: bool = True) -> RelationLogits:
-    """Single-direction relation table."""
-    if entity_features:
-        _check_alpha_beta(alpha, beta)
-        feats = add(h_r, sub(affine_const(h_o, alpha), affine_const(h_s, beta)))
-    else:
-        feats = h_r
-    return RelationLogits(pair_decode([feats], head))
 
 
 def decode_streams(outs: list[DamOutput], ner_head: DecoderParams,
@@ -142,24 +121,13 @@ def decode_streams(outs: list[DamOutput], ner_head: DecoderParams,
                    entity_features: bool = True
                    ) -> tuple[EntityLogits, RelationLogits]:
     """Decode from every encoder layer at once; the pair features
-    concatenate all directional streams in layer order."""
+    concatenate all layers' mixed streams in layer order."""
     if not outs:
         raise ContractError("decode_streams needs at least one encoder output")
-    ent = [entity_stream(o) for o in outs]
-    rel = [relation_stream(o, alpha, beta, entity_features) for o in outs]
-    return (EntityLogits(pair_decode(ent, ner_head)),
-            RelationLogits(pair_decode(rel, re_head)))
-
-
-def bi_decode(outs: list[DamOutput], ner_head: DecoderParams,
-              re_head: DecoderParams, alpha: float, beta: float,
-              entity_features: bool = True
-              ) -> tuple[EntityLogits, RelationLogits]:
-    """Two-direction decoding; exactly two encoder outputs required."""
-    if len(outs) != 2:
-        raise ContractError(f"bi_decode expects 2 directional outputs, "
-                            f"got {len(outs)}")
-    return decode_streams(outs, ner_head, re_head, alpha, beta, entity_features)
+    layers = [out.stacked for out in outs]
+    re_coeffs = relation_coefficients(alpha, beta, entity_features)
+    return (EntityLogits(pair_decode(layers, ENTITY_COEFFS, ner_head)),
+            RelationLogits(pair_decode(layers, re_coeffs, re_head)))
 
 
 def threshold_predictions(e: EntityLogits, r: RelationLogits,
@@ -169,12 +137,13 @@ def threshold_predictions(e: EntityLogits, r: RelationLogits,
     ignored, and in tail-only mode everything off it is too."""
     hit = e.probs.values > tau
     if diagonal_only:
-        i, k = (a.tolist() for a in np.nonzero(np.diagonal(hit).T))
-        entities = zip(i, i, k)
+        i, k = np.diagonal(hit).T.nonzero()
+        i = i.tolist()
+        entities = zip(i, i, k.tolist())
     else:                                # np.triu masks the last two axes
-        k, i, j = (a.tolist() for a in np.nonzero(np.triu(
-            hit.transpose(2, 0, 1))))
-        entities = zip(i, j, k)
-    relations = zip(*(a.tolist() for a in np.nonzero(r.probs.values > tau)))
+        k, i, j = np.triu(hit.transpose(2, 0, 1)).nonzero()
+        entities = zip(i.tolist(), j.tolist(), k.tolist())
+    i, m, k = (r.probs.values > tau).nonzero()
+    relations = zip(i.tolist(), m.tolist(), k.tolist())
     return PredictionSet(entities=frozenset(entities),
                          relations=frozenset(relations))

@@ -128,7 +128,7 @@ class ModelForward:
     entities: EntityLogits
     relations: RelationLogits
     record: Record
-    bound: dict[str, Tensor]
+    bound: dict[str, Tensor]   # unrecorded: the store's shared dict, read-only
 
 
 class JointModel:
@@ -150,20 +150,37 @@ class JointModel:
         DecoderParams.register(store, "re", config.n_layers, config.d_h,
                                schema.v)
         self.store = store
+        # (the store's untracked dict, the structs bound over it)
+        self._unrecorded: tuple | None = None
+
+    def _structs(self, bound: dict[str, Tensor]) -> tuple:
+        """The layer and head parameter structs over `bound`."""
+        return ([DamParams.bind(bound, f"dam{layer}")
+                 for layer in range(self.config.n_layers)],
+                DecoderParams.bind(bound, "ner"),
+                DecoderParams.bind(bound, "re"))
 
     def forward(self, token_ids, recording: bool = True) -> ModelForward:
+        """Token ids to both probability tables. A recorded forward binds
+        fresh leaves; an unrecorded one reuses one set of parameter structs
+        over the store's cached untracked Tensors, rebuilt whenever the
+        store rebuilds them or `self.store` is replaced."""
         config = self.config
         record = Record(recording=recording)
-        bound = self.store.bind(record)
+        if recording:
+            bound = self.store.bind(record)
+            structs = self._structs(bound)
+        else:
+            bound = self.store.untracked()
+            cached = self._unrecorded
+            if cached is None or cached[0] is not bound:
+                cached = self._unrecorded = (bound, self._structs(bound))
+            structs = cached[1]
+        layers, ner_head, re_head = structs
         x = take(bound["embedding"], token_ids, axis=0)
-        layers = [DamParams.bind(bound, f"dam{layer}")
-                  for layer in range(config.n_layers)]
         outs = encode_stacked(x, layers, interaction=config.interaction)
         entities, relations = decode_streams(
-            outs,
-            DecoderParams.bind(bound, "ner"),
-            DecoderParams.bind(bound, "re"),
-            config.alpha, config.beta,
+            outs, ner_head, re_head, config.alpha, config.beta,
             entity_features=config.entity_features_in_re)
         return ModelForward(entities=entities, relations=relations,
                             record=record, bound=bound)

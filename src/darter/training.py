@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import ContractError, Tensor, add, bce
 from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
-                     gold_tables, write_json)
+                     gold_tables, open_input, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig, check_types
@@ -95,7 +95,7 @@ def bce_sum(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
     if gold.shape != probs.shape:
         raise ContractError(
             f"gold shape {gold.shape} != probs shape {probs.shape}")
-    if not ((gold == 0.0) | (gold == 1.0)).all():
+    if not np.logical_and.reduce((gold == 0.0) | (gold == 1.0), axis=None):
         raise ContractError("gold tables must be binary")
     if mask is not None:
         if mask.shape != probs.shape:
@@ -347,7 +347,7 @@ def _check(where: str, make, *args):
 def load_checkpoint(path) -> JointModel:
     """Read a checkpoint. A missing, malformed or non-finite field is a
     ConfigError naming the file and the field."""
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -220,8 +220,8 @@ def test_criterion_4_direction_symmetry():
                               Direction.LEFT_TO_RIGHT)
         for p in SUBTASKS:
             for field in ("h_tilde", "hidden"):
-                a = getattr(rtl, field)[p].values
-                b = getattr(ltr, field)[p].values[::-1]
+                a = rtl.stream(field, p).values
+                b = ltr.stream(field, p).values[::-1]
                 worst = max(worst, float(np.abs(a - b).max()))
     ok = worst <= 1e-12
     report(4, "direction symmetry", ok, f"max abs err {worst:.1e}")

@@ -657,22 +657,24 @@ def test_per_op_fd_sweep():
 def test_pair_scores_shape_contract():
     head = [constant(np.zeros(shape)) for shape in
             ((8, 4), (4,), (4,), (4,), (4, 2), (2,))]
-    two = [constant(np.zeros((3, 2))), constant(np.zeros((3, 2)))]
-    assert ad.pair_scores(two, *head).shape == (3, 3, 2)
+    r_only = (0.0, 1.0, 0.0)
+    two = [constant(np.zeros((3, 2, 3, 2))), constant(np.zeros((3, 2, 3, 2)))]
+    assert ad.pair_scores(two, r_only, *head).shape == (3, 3, 2)
     with pytest.raises(ad.ShapeError, match="one shape"):
-        ad.pair_scores([two[0], constant(np.zeros((3, 3)))], *head)
+        ad.pair_scores([two[0], constant(np.zeros((3, 2, 3, 3)))], r_only,
+                       *head)
     with pytest.raises(ad.ShapeError, match="one shape"):
-        ad.pair_scores([constant(np.zeros(3))], *head)
+        ad.pair_scores([constant(np.zeros(3))], r_only, *head)
     with pytest.raises(ad.ShapeError, match="rows"):
-        ad.pair_scores(two[:1], *head)
+        ad.pair_scores(two[:1], r_only, *head)
 
 
 def test_dam_sequence_shape_contract():
-    z = constant(np.zeros((3, 2, 4)))
+    x = constant(np.zeros((2, 4)))
     w, b = constant(np.zeros((3, 4, 4))), constant(np.zeros((3, 1, 4)))
     with pytest.raises(ad.ShapeError, match="w_c"):
-        ad.dam_sequence(z, w, b, constant(np.zeros((3, 4, 5))), b, w, b)
+        ad.dam_sequence(x, w, b, w, b, constant(np.zeros((3, 4, 5))), b, w, b)
     with pytest.raises(ad.ShapeError, match="b_a"):
-        ad.dam_sequence(z, w, b, w, b, w, constant(np.zeros((3, 4))))
+        ad.dam_sequence(x, w, b, w, b, w, b, w, constant(np.zeros((3, 4))))
     with pytest.raises(ad.ShapeError):
-        ad.dam_sequence(constant(np.zeros((2, 4))), w, b, w, b, w, b)
+        ad.dam_sequence(constant(np.zeros((2, 3, 4))), w, b, w, b, w, b, w, b)

@@ -97,6 +97,49 @@ def test_invalid_variant_layer_combination(tmp_path, capsys):
     assert "2 layers" in capsys.readouterr().err
 
 
+def _zero_checkpoint(tmp_path):
+    setup_tree(tmp_path)
+    model = JointModel(ModelConfig(d_p=8, d_h=8), SCHEMA,
+                       Vocabulary.from_corpus(CORPUS))
+    save_checkpoint(tmp_path / "zero.json", model)
+
+
+def test_train_config_that_is_a_directory_is_exit_2(tmp_path, capsys):
+    (tmp_path / "conf.d").mkdir()
+    assert main(["train", "--config", str(tmp_path / "conf.d")]) == 2
+    err = capsys.readouterr().err
+    assert "conf.d: cannot read" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_that_is_a_directory_is_exit_2(tmp_path, capsys):
+    setup_tree(tmp_path)
+    (tmp_path / "model.d").mkdir()
+    config = config_file(tmp_path, name="eval.json", checkpoint="model.d",
+                         test_corpus="train.jsonl", report="report.json")
+    assert main(["eval", "--config", config]) == 2
+    assert "model.d: cannot read" in capsys.readouterr().err
+
+
+def test_predict_input_that_is_a_directory_is_exit_2(tmp_path, capsys):
+    _zero_checkpoint(tmp_path)
+    (tmp_path / "inputs.d").mkdir()
+    config = config_file(tmp_path, name="predict.json",
+                         checkpoint="zero.json", input_corpus="inputs.d",
+                         predictions="pred.jsonl")
+    assert main(["predict", "--config", config]) == 2
+    assert "inputs.d: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def test_gridsearch_schema_that_is_a_directory_is_exit_2(tmp_path, capsys):
+    setup_tree(tmp_path)
+    (tmp_path / "schema.d").mkdir()
+    config = config_file(tmp_path, **train_entries(
+        schema="schema.d", dev_corpus="dev.jsonl", grid_results="grid.json"))
+    assert main(["gridsearch", "--config", config]) == 2
+    assert "schema.d: cannot read" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["explode"])

@@ -7,13 +7,13 @@ import pytest
 import darter.autodiff as ad
 from darter.autodiff import ParamStore, Record, constant
 from darter.decoders import (DecoderParams, EntityLogits, RelationLogits,
-                             bi_decode, decode_streams, ner_decode,
-                             pair_decode, re_decode, relation_stream,
-                             threshold_predictions)
+                             decode_streams, pair_decode,
+                             relation_coefficients, threshold_predictions)
 from darter.encoder import SUBTASKS, DamOutput
 from darter.gradcheck import max_relative_error, numeric_gradients
 
 import oracles
+from composed import R_ONLY, bi_decode, ner_decode, r_slot, re_decode
 
 
 def head_store(seed, n_streams, d_h, width, prefix="head"):
@@ -49,8 +49,8 @@ def oracle_decode(streams, store, prefix="head"):
 
 
 def fake_output(rec, t, d_h, rng):
-    tilde = {p: rec.leaf(rng.standard_normal((t, d_h))) for p in SUBTASKS}
-    return DamOutput(h_tilde=tilde, hidden=tilde, trace=None)
+    return DamOutput(stacked=rec.leaf(rng.standard_normal((t, 2, 3, d_h))),
+                     trace=None)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_zero_parameters_give_exactly_half():
     store.zero_all()
     rec, head = bind_head(store)
     stream = rec.leaf(np.random.default_rng(1).standard_normal((5, 4)))
-    probs = pair_decode([stream], head).values
+    probs = pair_decode([r_slot(stream)], R_ONLY, head).values
     assert probs.shape == (5, 5, 3)
     npt.assert_array_equal(probs, np.full((5, 5, 3), 0.5))
 
@@ -69,7 +69,7 @@ def test_single_token_single_cell():
     store = head_store(2, 1, 4, 2)
     rec, head = bind_head(store)
     stream = rec.leaf(np.random.default_rng(3).standard_normal((1, 4)))
-    probs = pair_decode([stream], head).values
+    probs = pair_decode([r_slot(stream)], R_ONLY, head).values
     assert probs.shape == (1, 1, 2)
     assert np.all((probs > 0) & (probs < 1))
 
@@ -81,7 +81,8 @@ def test_pair_decode_matches_oracle(t, d_h, width, n_streams, seed):
     rec, head = bind_head(store)
     rng = np.random.default_rng(seed)
     streams_np = [rng.standard_normal((t, d_h)) for _ in range(n_streams)]
-    probs = pair_decode([rec.leaf(s) for s in streams_np], head).values
+    probs = pair_decode([r_slot(rec.leaf(s)) for s in streams_np], R_ONLY,
+                        head).values
     want = oracle_decode(streams_np, store)
     npt.assert_allclose(probs, want, atol=1e-12)
 
@@ -147,13 +148,15 @@ def test_pair_decode_shape_contracts():
     rec, head = bind_head(store)
     rng = np.random.default_rng(17)
     with pytest.raises(ad.ContractError):
-        pair_decode([], head)
+        pair_decode([], R_ONLY, head)
     with pytest.raises(ad.ShapeError):
-        pair_decode([rec.leaf(rng.standard_normal((3, 4))),
-                     rec.leaf(rng.standard_normal((2, 4)))], head)
+        pair_decode([r_slot(rec.leaf(rng.standard_normal((3, 4)))),
+                     r_slot(rec.leaf(rng.standard_normal((2, 4))))], R_ONLY,
+                    head)
     # two streams of width 4 need a [16, 4] projection, head has [8, 4]
     with pytest.raises(ad.ShapeError, match="width"):
-        pair_decode([rec.leaf(rng.standard_normal((3, 4)))] * 2, head)
+        pair_decode([r_slot(rec.leaf(rng.standard_normal((3, 4))))] * 2,
+                    R_ONLY, head)
 
 
 def test_bi_decode_requires_two_streams():
@@ -190,7 +193,8 @@ def test_tiled_bi_weights_double_the_preactivation():
     rng = np.random.default_rng(21)
     h = rng.standard_normal((t, d_h))
     rec, bi_head = bind_head(bi)
-    got = pair_decode([rec.leaf(h), rec.leaf(h)], bi_head).values
+    got = pair_decode([r_slot(rec.leaf(h)), r_slot(rec.leaf(h))], R_ONLY,
+                      bi_head).values
     # identical streams through tiled weights = doubled unidirectional input
     want = oracle_decode([2.0 * h], uni)
     npt.assert_allclose(got, want, atol=1e-12)
@@ -205,10 +209,10 @@ def test_decode_streams_matches_single_heads():
     out = fake_output(rec, 3, 4, rng)
     e, r = decode_streams([out], DecoderParams.bind(bound, "head"),
                           DecoderParams.bind(bound, "re"), 0.5, 1.0)
-    e2 = ner_decode(out.h_tilde["s"], out.h_tilde["o"],
-                    DecoderParams.bind(bound, "head"))
-    r2 = re_decode(out.h_tilde["r"], out.h_tilde["s"], out.h_tilde["o"],
-                   DecoderParams.bind(bound, "re"), 0.5, 1.0)
+    h = {p: out.stream("h_tilde", p) for p in SUBTASKS}
+    e2 = ner_decode(h["s"], h["o"], DecoderParams.bind(bound, "head"))
+    r2 = re_decode(h["r"], h["s"], h["o"], DecoderParams.bind(bound, "re"),
+                   0.5, 1.0)
     npt.assert_array_equal(e.probs.values, e2.probs.values)
     npt.assert_array_equal(r.probs.values, r2.probs.values)
 
@@ -276,7 +280,7 @@ def test_decoder_gradients_finite_differences():
     def loss(recording=True):
         rec = Record(recording=recording)
         head = DecoderParams.bind(store.bind(rec), "head")
-        probs = pair_decode([rec.leaf(h)], head)
+        probs = pair_decode([r_slot(rec.leaf(h))], R_ONLY, head)
         return rec, ad.sum_all(ad.mul(probs, constant(w)))
 
     rec, val = loss()
@@ -288,7 +292,8 @@ def test_decoder_gradients_finite_differences():
     rec3 = Record()
     bound3 = store.bind(rec3)
     head3 = DecoderParams.bind(bound3, "head")
-    out3 = ad.sum_all(ad.mul(pair_decode([rec3.leaf(h)], head3), constant(w)))
+    out3 = ad.sum_all(ad.mul(pair_decode([r_slot(rec3.leaf(h))], R_ONLY,
+                                         head3), constant(w)))
     rec3.backward(out3)
     analytic = {k: rec3.grad(tv) for k, tv in bound3.items()}
     analytic = {k: (np.zeros_like(store[k]) if g is None else g)
@@ -302,24 +307,34 @@ def test_decoder_gradients_finite_differences():
 # the fused relation stream and the vectorised thresholding
 
 def test_relation_stream_matches_the_composed_chain():
+    """The relation features pair_scores mixes from a stacked layer,
+    r + (o * alpha - s * beta), give the add/sub/affine_const chain's bits,
+    forward and backward."""
     rng = np.random.default_rng(27)
-    weights = constant(rng.standard_normal((4, 3)))
+    store = head_store(29, 1, 3, 2)
+    weights = constant(rng.standard_normal((4, 4, 2)))
     for alpha, beta in [(-1.0, 1.0), (0.5, 0.5), (1.0, -1.0), (1.0, 1.0)]:
         values = {p: rng.standard_normal((4, 3)) for p in SUBTASKS}
         values["s"] = values["o"] if alpha == beta else values["s"]
         results = []
         for fused in (True, False):
-            rec = Record()
-            h = {p: rec.leaf(v) for p, v in values.items()}
+            rec, head = bind_head(store)
             if fused:
-                out = DamOutput(h_tilde=h, hidden=h, trace=None)
-                feats = relation_stream(out, alpha, beta)
+                stacked = np.zeros((4, 2, 3, 3))
+                for k, p in enumerate(SUBTASKS):
+                    stacked[:, 0, k] = values[p]
+                leaf = rec.leaf(stacked)
+                probs = pair_decode([leaf],
+                                    relation_coefficients(alpha, beta), head)
             else:
+                h = {p: rec.leaf(v) for p, v in values.items()}
                 feats = ad.add(h["r"], ad.sub(ad.affine_const(h["o"], alpha),
                                               ad.affine_const(h["s"], beta)))
-            rec.backward(ad.sum_all(ad.mul(feats, weights)))
-            results.append((feats.values,
-                            [rec.grad(h[p]) for p in SUBTASKS]))
+                probs = pair_decode([r_slot(feats)], R_ONLY, head)
+            rec.backward(ad.sum_all(ad.mul(probs, weights)))
+            grads = ([rec.grad(leaf)[:, 0, k] for k in range(3)] if fused
+                     else [rec.grad(h[p]) for p in SUBTASKS])
+            results.append((probs.values, grads))
         (fused_v, fused_g), (chain_v, chain_g) = results
         npt.assert_array_equal(fused_v, chain_v)
         for got, want in zip(fused_g, chain_g):

@@ -6,13 +6,13 @@ import pytest
 
 import darter.autodiff as ad
 from darter.autodiff import ParamStore, Record, constant
-from darter.encoder import (SUBTASKS, DamParams, DamState, Direction,
-                            compute_candidates, dam_step, encode_sequence,
-                            encode_stacked, finalize, inter_aggregate,
-                            intra_aggregate, layer_direction, project_inputs)
+from darter.encoder import (SUBTASKS, DamParams, Direction, encode_sequence,
+                            encode_stacked, layer_direction)
 from darter.gradcheck import max_relative_error, numeric_gradients
 
 import oracles
+from composed import (DamState, compute_candidates, dam_step, finalize,
+                      inter_aggregate, intra_aggregate, project_inputs)
 
 
 def dam_store(seed, d_in, d_h, prefix="dam0"):
@@ -47,7 +47,14 @@ def oracle_params(store, prefix="dam0"):
 
 
 def stream(out, field, p):
-    return getattr(out, field)[p].values
+    return out.stream(field, p).values
+
+
+def projected(x, params):
+    """The cell's projections z of every token, [3, t, d_h], as the fused
+    layer computes them (read from its trace)."""
+    out = encode_sequence(x, params, collect_trace=True)
+    return constant(np.stack([step.z[:, 0] for step in out.trace], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +66,7 @@ def test_project_inputs_zero_params():
     store.zero_all()
     _, params = bind(store)
     x = constant(np.random.default_rng(0).standard_normal((5, 3)))
-    z = project_inputs(x, params)
+    z = projected(x, params)
     assert z.shape == (3, 5, 4)
     npt.assert_array_equal(z.values, np.zeros((3, 5, 4)))
 
@@ -70,7 +77,7 @@ def test_project_inputs_identity_weights():
     store.set_("dam0.w_z", np.stack([np.eye(4)] * 3))
     _, params = bind(store)
     x = np.random.default_rng(1).standard_normal((3, 4))
-    z = project_inputs(constant(x), params)
+    z = projected(constant(x), params)
     for k in range(3):
         npt.assert_array_equal(z.values[k], x)
 
@@ -79,7 +86,7 @@ def test_project_inputs_against_oracle():
     store = dam_store(5, 3, 4)
     _, params = bind(store)
     x = np.random.default_rng(2).standard_normal((6, 3))
-    z = project_inputs(constant(x), params).values
+    z = projected(constant(x), params).values
     ref = oracle_params(store)
     for k, p in enumerate(SUBTASKS):
         for t in range(6):
@@ -92,9 +99,9 @@ def test_project_inputs_shape_contract():
     store = dam_store(0, 3, 4)
     _, params = bind(store)
     with pytest.raises(ad.ShapeError):
-        project_inputs(constant(np.zeros((2, 5))), params)
+        projected(constant(np.zeros((2, 5))), params)
     with pytest.raises(ad.ShapeError):
-        project_inputs(constant(np.zeros(3)), params)
+        projected(constant(np.zeros(3)), params)
 
 
 def test_compute_candidates_zero_state():
@@ -338,7 +345,8 @@ def test_encoder_gradients_finite_differences():
         out = encode_sequence(rec.leaf(x), params)
         total = None
         for p in SUBTASKS:
-            term = ad.sum_all(ad.mul(out.h_tilde[p], constant(w[p])))
+            term = ad.sum_all(ad.mul(out.stream("h_tilde", p),
+                                     constant(w[p])))
             total = term if total is None else ad.add(total, term)
         return rec, total
 
@@ -351,7 +359,7 @@ def test_encoder_gradients_finite_differences():
     out2 = encode_sequence(rec2.leaf(x), DamParams.bind(params2, "dam0"))
     total2 = None
     for p in SUBTASKS:
-        term = ad.sum_all(ad.mul(out2.h_tilde[p], constant(w[p])))
+        term = ad.sum_all(ad.mul(out2.stream("h_tilde", p), constant(w[p])))
         total2 = term if total2 is None else ad.add(total2, term)
     rec2.backward(total2)
     analytic = {name: rec2.grad(t2) for name, t2 in params2.items()}
@@ -400,10 +408,10 @@ def test_fused_cell_gradients_match_composed_dam_step(t, interaction,
         xt = rec.leaf(x)
         if fused:
             out = encode_sequence(xt, params, direction, interaction)
-            tilde = ad.concat([ad.reshape(out.h_tilde[p], (1, t, d_h))
-                               for p in SUBTASKS])
-            hidden = ad.concat([ad.reshape(out.hidden[p], (1, t, d_h))
-                                for p in SUBTASKS])
+            tilde = ad.concat([ad.reshape(out.stream("h_tilde", p),
+                                          (1, t, d_h)) for p in SUBTASKS])
+            hidden = ad.concat([ad.reshape(out.stream("hidden", p),
+                                           (1, t, d_h)) for p in SUBTASKS])
         else:
             tilde, hidden = composed_sequence(xt, params, direction,
                                               interaction)

@@ -216,3 +216,54 @@ def test_recorded_and_unrecorded_forwards_are_bit_identical(
                            plain.entities.probs.values)
     npt.assert_array_equal(recorded.relations.probs.values,
                            plain.relations.probs.values)
+
+
+# ---------------------------------------------------------------------------
+# the parameter structs unrecorded forwards reuse
+
+def _probs(forward):
+    return (forward.entities.probs.values.tobytes()
+            + forward.relations.probs.values.tobytes())
+
+
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+def test_unrecorded_forward_sees_in_place_parameter_changes(variant):
+    # gradient checks perturb the store's arrays in place between forwards
+    model = JointModel(tiny_config(variant=variant), SCHEMA, VOCAB)
+    ids = VOCAB.encode(["ada", "built", "acme"])
+    before = _probs(model.forward(ids, recording=False))
+    for name in ("embedding", "dam0.w_f", "ner.w_out", "re.b_pair"):
+        model.store[name][...] += 0.25
+        changed = model.forward(ids, recording=False)
+        assert _probs(changed) != before, name
+        assert _probs(changed) == _probs(model.forward(ids)), name
+        model.store[name][...] -= 0.25
+        assert _probs(model.forward(ids, recording=False)) == before, name
+
+
+def test_unrecorded_forward_reads_a_replaced_store():
+    model = JointModel(tiny_config(variant="bidarter"), SCHEMA, VOCAB)
+    ids = VOCAB.encode(["mill", "ada", "acme"])
+    before = _probs(model.forward(ids, recording=False))
+    old = model.store
+    model.store = old.copy()
+    model.store["dam1.w_c"][...] *= 2.0          # the copy only
+    replaced = model.forward(ids, recording=False)
+    assert replaced.bound["dam1.w_c"].values is model.store["dam1.w_c"]
+    assert _probs(replaced) != before
+    assert _probs(replaced) == _probs(model.forward(ids))
+    model.store = old
+    assert _probs(model.forward(ids, recording=False)) == before
+
+
+def test_recorded_forwards_bind_fresh_leaves():
+    model = JointModel(tiny_config(), SCHEMA, VOCAB)
+    ids = VOCAB.encode(["ada", "acme"])
+    first, second = model.forward(ids), model.forward(ids)
+    assert first.record is not second.record
+    for name in model.store.names():
+        a, b = first.bound[name], second.bound[name]
+        assert a is not b and a.record is first.record
+        assert b.record is second.record and b.node_id is not None
+    plain = model.forward(ids, recording=False)
+    assert all(t.node_id is None for t in plain.bound.values())

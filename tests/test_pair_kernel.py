@@ -13,6 +13,8 @@ from darter.autodiff import ParamStore, Record, constant
 from darter.decoders import DecoderParams
 from darter.gradcheck import max_relative_error, numeric_gradients
 
+from composed import R_ONLY, r_slot
+
 EPS = 1e-5
 
 
@@ -43,7 +45,7 @@ def two_pass_head(streams, p):
 
 
 def kernel(streams, p):
-    return ad.pair_scores([constant(s) for s in streams],
+    return ad.pair_scores([r_slot(constant(s)) for s in streams], R_ONLY,
                           *(constant(p[k]) for k in ("w_pair", "b_pair",
                                                      "gain", "bias", "w_out",
                                                      "b_out")))
@@ -123,8 +125,8 @@ def test_pair_scores_gradients_finite_differences(t, n, d_h):
     def loss(record):
         bound = store.bind(record)
         head = DecoderParams.bind(bound, "head")
-        probs = ad.pair_scores([bound[f"x{k}"] for k in range(n)],
-                               head.w_pair, head.b_pair, head.ln_gain,
+        probs = ad.pair_scores([r_slot(bound[f"x{k}"]) for k in range(n)],
+                               R_ONLY, head.w_pair, head.b_pair, head.ln_gain,
                                head.ln_bias, head.w_out, head.b_out)
         return ad.sum_all(ad.mul(probs, constant(weights))), bound
 
@@ -190,7 +192,7 @@ def test_blocked_forward_matches_reference_and_one_block(monkeypatch, t,
                             err_msg=f"d_h={d_h}")
         rec = Record()
         recorded = ad.pair_scores(
-            [rec.leaf(s) for s in streams],
+            [r_slot(rec.leaf(s)) for s in streams], R_ONLY,
             *(rec.leaf(p[k]) for k in ("w_pair", "b_pair", "gain", "bias",
                                        "w_out", "b_out")))
         assert recorded.node_id is not None
@@ -201,8 +203,8 @@ def head_loss(store, n, weights):
     def loss(record):
         bound = store.bind(record)
         head = DecoderParams.bind(bound, "head")
-        probs = ad.pair_scores([bound[f"x{k}"] for k in range(n)],
-                               head.w_pair, head.b_pair, head.ln_gain,
+        probs = ad.pair_scores([r_slot(bound[f"x{k}"]) for k in range(n)],
+                               R_ONLY, head.w_pair, head.b_pair, head.ln_gain,
                                head.ln_bias, head.w_out, head.b_out)
         return ad.sum_all(ad.mul(probs, constant(weights))), bound
     return loss
@@ -276,11 +278,11 @@ def test_long_table_memory_stays_block_sized():
         kernel(streams, p)
         peak = tracemalloc.get_traced_memory()[1] - before
         rec = Record()
-        leaves = [rec.leaf(s) for s in streams] + [
+        leaves = [r_slot(rec.leaf(s)) for s in streams] + [
             rec.leaf(p[k]) for k in ("w_pair", "b_pair", "gain", "bias",
                                      "w_out", "b_out")]
         before = tracemalloc.get_traced_memory()[0]
-        head = ad.pair_scores(leaves[:n], *leaves[n:])
+        head = ad.pair_scores(leaves[:n], R_ONLY, *leaves[n:])
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
