@@ -629,7 +629,11 @@ def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
     return _elu(block, out=block, work=work)
 
 
-# The order in which pair_scores sums a layer's weighted streams.
+# pair_scores mixes a layer's streams h_0, h_1, h_2 into
+# c_1 * h_1 + (c_2 * h_2 + c_0 * h_0), terms with a zero coefficient left
+# out: with streams (s, r, o) that is s + o for (1, 0, 1) and
+# r + (o * alpha - s * beta) for (-beta, 1, alpha), summed in the order
+# those formulas give, so the features have their bits.
 _MIX_ORDER = (2, 0, 1)
 
 
@@ -654,15 +658,15 @@ def pair_scores(layers: Sequence[Tensor], coeffs: Sequence[float],
 
     The n layers are [t, 2, 3, w] encoder outputs of one shape; the head
     reads field 0 (h_tilde) of each and mixes its three streams with the
-    coefficient triple into [t, w] token features. The
-    pair feature of tokens (i, j) concatenates, layer by layer, the
-    features of token i then token j; it is projected by w_pair
-    [2 * n * w, d_h], shifted by b_pair, layer-normalized, passed through
-    ELU, mapped by w_out and b_out, and squashed by a sigmoid. The
-    projection is factorised: every token is projected once as i and once
-    as j, so the [t * t, 2 * n * w] pair matrix never exists. The layer
-    norm's statistics are factorised too (`_pair_norm_stats`): they come
-    from the two centred [t, d_h] sides and one [t, t] product.
+    coefficient triple into [t, w] token features (`_MIX_ORDER`). The pair
+    feature of tokens (i, j) concatenates, layer by layer, the features of
+    token i then token j; it is projected by w_pair [2 * n * w, d_h],
+    shifted by b_pair, layer-normalized, passed through ELU, mapped by
+    w_out and b_out, and squashed by a sigmoid. The projection is
+    factorised: every token is projected once as i and once as j, so the
+    [t * t, 2 * n * w] pair matrix never exists. The layer norm's
+    statistics are factorised too (`_pair_norm_stats`): they come from the
+    two centred [t, d_h] sides and one [t, t] product.
 
     Nor does a [t, t, d_h] hidden table larger than _PAIR_BLOCK elements
     exist whole: it streams through one buffer of at most that size (one
@@ -687,9 +691,6 @@ def pair_scores(layers: Sequence[Tensor], coeffs: Sequence[float],
     if wv.shape[0] != 2 * n * w:
         raise ShapeError(f"w_pair has {wv.shape[0]} rows; {n} layers of "
                          f"width {w} need {2 * n * w}")
-    # the features c_1 * h_1 + (c_2 * h_2 + c_0 * h_0), zero terms left
-    # out: for streams (s, r, o), s + o with (1, 0, 1) and r + (o * alpha -
-    # s * beta) with (-beta, 1, alpha), bit for bit
     terms = [(k, coeffs[k]) for k in _MIX_ORDER if coeffs[k] != 0.0]
     feats = np.empty((t, n * w))
     for k, v in enumerate(values):
