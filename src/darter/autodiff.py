@@ -304,14 +304,16 @@ def _normalize(av: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_mean(av: np.ndarray) -> np.ndarray:
-    """Mean over the last axis, kept: np.mean's bits at less call cost."""
-    return np.add.reduce(av, axis=-1, keepdims=True) / av.shape[-1]
+    """Mean over the last axis, kept: np.mean's bits at less call cost
+    (numpy parses positional arguments faster than keywords)."""
+    return np.add.reduce(av, -1, None, None, True) / av.shape[-1]
 
 
 def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
     """Layer-norm statistics of every pair row sides[i, 0] + sides[j, 1]
-    from per-token parts. Centres `sides` [t, 2, d] in place and returns
-    the inverse deviations 1 / sqrt(var + eps), [t, t, 1].
+    from per-token parts. Centres `sides` [..., t, 2, d] in place and
+    returns the inverse deviations 1 / sqrt(var + eps), [..., t, t, 1]; a
+    leading axis holds independent heads, one [t, t] product each.
 
     A pair row's mean is the sum of its sides' means, and for centred sides
     c its squared norm is |c_i|^2 + |c_j|^2 + 2 c_i . c_j. Where c_j is
@@ -320,19 +322,22 @@ def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
     summed again from their rows.
     """
     sides -= _row_mean(sides)
-    sq = np.add.reduce(sides * sides, axis=-1)   # [t, 2]
-    total = sq[:, :1] + sq[:, 1]
-    ssq = sides[:, 0].dot(sides[:, 1].T)
+    sq = np.add.reduce(sides * sides, -1)        # [..., t, 2]
+    total = sq[..., :1] + sq[..., None, :, 1]
+    ssq = np.empty(total.shape)
+    for head, out in zip(sides.reshape(-1, *sides.shape[-3:]),
+                         ssq.reshape(-1, *total.shape[-2:])):
+        np.dot(head[:, 0], head[:, 1].T, out=out)
     ssq *= 2.0
     ssq += total
-    i, j = (ssq * 1024.0 < total).nonzero()
+    *lead, i, j = (ssq * 1024.0 < total).nonzero()
     if i.size:
-        rows = sides[i, 0] + sides[j, 1]
-        ssq[i, j] = np.add.reduce(rows * rows, axis=-1)
+        rows = sides[(*lead, i, 0)] + sides[(*lead, j, 1)]
+        ssq[(*lead, i, j)] = np.add.reduce(rows * rows, -1)
     d = sides.shape[-1]                  # var = ssq / d, so the inverse
     ssq += d * eps                       # deviation is
     np.sqrt(ssq, out=ssq)                # sqrt(d) / sqrt(ssq + d * eps)
-    return np.divide(math.sqrt(d), ssq, out=ssq)[:, :, None]
+    return np.divide(math.sqrt(d), ssq, out=ssq)[..., None]
 
 
 def _layer_norm_backward(g, xhat, inv, gv):
@@ -431,20 +436,19 @@ def sum_all(a: Tensor) -> Tensor:
 @functools.lru_cache(maxsize=64)
 def _dam_layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """eye(n), and where dam_sequence's weights go in one flat buffer that
-    holds its [n*d, 3*n*d] step matrix and then its [n*d, n*d] w_a matrix.
+    holds its [n*d, 2*n*d] step matrix and then its [n*d, n*d] w_a matrix.
 
     Step matrix rows are (stream m, unit i), columns (group s, stream k,
-    unit j). The positions are listed in the order of the values: w_f's
-    diagonal blocks (s = 0), the dense gate-weighted w_f blocks ordered
-    (m, k, i, j) (s = 1), w_c's diagonal blocks (s = 2), w_a's diagonal
-    blocks.
+    unit j). The positions are listed in the order of the values: the
+    dense gate-weighted w_f blocks ordered (m, k, i, j) (s = 0), w_c's
+    diagonal blocks (s = 1), w_a's diagonal blocks.
     """
     m, k, i, j = np.meshgrid(*(np.arange(size) for size in (n, n, d, d)),
                              indexing="ij")
     diag = m == k
-    step = [(((m * d + i) * 3 + group) * n + k) * d + j for group in range(3)]
-    a_block = 3 * (n * d) ** 2 + ((m * d + i) * n + k) * d + j
-    positions = np.concatenate((step[0][diag], step[1].ravel(), step[2][diag],
+    step = [(((m * d + i) * 2 + group) * n + k) * d + j for group in range(2)]
+    a_block = 2 * (n * d) ** 2 + ((m * d + i) * n + k) * d + j
+    positions = np.concatenate((step[0].ravel(), step[1][diag],
                                 a_block[diag]))
     eye = np.eye(n)
     eye.flags.writeable = positions.flags.writeable = False
@@ -476,13 +480,12 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
 
     The streams sit side by side in one row of width n*d, so the per-stream
     weights act as block-diagonal matrices. The mix is linear and is folded
-    into a copy of the forget weights, so one product per step yields f,
-    f + inter and the candidate's argument.
+    into the forget weights, so one product per step yields f + inter and
+    the candidate's argument; f alone is never formed.
 
     Returns the output [t, 2, n, d], h_tilde then h for each token, and the
-    activations: z as [n, t, d], and f, ctil, a, c as [t, n*d] rows in
-    token order (inter is mix @ f). Backward is backpropagation through
-    time over them.
+    activations: z as [n, t, d], and ctil, a, c as [t, n*d] rows in token
+    order. Backward is backpropagation through time over them.
     """
     xv, w_zv = x.values, w_z.values
     if w_zv.ndim != 3:
@@ -517,21 +520,21 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
     eye, positions = _dam_layout(n, d)
     gate = eye if mix is None else eye + mix     # f + inter = gate @ f
     w_fv = w_f.values
-    weights = np.zeros(4 * width * width)
+    weights = np.zeros(3 * width * width)
     weights[positions] = np.concatenate((
-        w_fv.ravel(), (gate.T[:, :, None] * w_fv.reshape(n, 1, d * d)).ravel(),
+        (gate.T[:, :, None] * w_fv.reshape(n, 1, d * d)).ravel(),
         w_c.values.ravel(), w_a.values.ravel()))
-    w_all = weights[:3 * width * width].reshape(width, 3 * width)
-    w_ab = weights[3 * width * width:].reshape(width, width)
+    w_all = weights[:2 * width * width].reshape(width, 2 * width)
+    w_ab = weights[2 * width * width:].reshape(width, width)
     b_av = b_a.values.reshape(width)
-    zb = np.empty((3, n, t, d))           # the same three groups, from z
-    np.add(z, b_f.values, out=zb[0])
-    np.matmul(gate, zb[0].reshape(n, t * d), out=zb[1].reshape(n, t * d))
-    np.add(z, b_c.values, out=zb[2])
-    zb = zb.transpose(2, 0, 1, 3).reshape(t, 3 * width)
+    zb = np.empty((2, n, t, d))           # the same two groups, from z
+    np.matmul(gate, (z + b_f.values).reshape(n, t * d),
+              out=zb[0].reshape(n, t * d))
+    np.add(z, b_c.values, out=zb[1])
+    zb = zb.transpose(2, 0, 1, 3).reshape(t, 2 * width)
 
-    pre = np.empty((t, 3 * width))       # f, f + inter, ctil, per token
-    fs_all, ctil_all = pre[:, width:2 * width], pre[:, 2 * width:]
+    pre = np.empty((t, 2 * width))       # f + inter, ctil, per token
+    fs_all, ctil_all = pre[:, :width], pre[:, width:]
     a_all = np.empty((t, width))
     c_all = np.empty((t, width))
     out = np.empty((t, 2, width))
@@ -559,7 +562,7 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
         dp_scale = fs_all * (1.0 - ctil_all * ctil_all)
         # one contiguous copy: as a strided view, every token's product
         # would repack it
-        w_abt, w_fct = w_ab.T, np.ascontiguousarray(w_all[:, width:].T)
+        w_abt, w_fct = w_ab.T, np.ascontiguousarray(w_all.T)
         dc_all = np.empty((t, width))
         dpre = np.empty((t, 2 * width))  # d(f + inter), d(ctil's argument)
         dh = dc_next = dfs_next = np.zeros(width)   # from the later step
@@ -608,12 +611,11 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
 
     node = _emit("dam_sequence", (x, w_z, b_z, w_f, b_f, w_c, b_c, w_a, b_a),
                  out.reshape(t, 2, n, d), backward)
-    return node, {"z": z, "f": pre[:, :width], "ctil": ctil_all, "a": a_all,
-                  "c": c_all}
+    return node, {"z": z, "ctil": ctil_all, "a": a_all, "c": c_all}
 
 
-# Pair-table elements pair_scores holds at once: 256 kB of float64 per
-# buffer, so a block and its ELU temporary stay in a core's L2 cache.
+# Pair-table elements pair_scores holds at once per head: 256 kB of float64
+# per buffer, so a block and its ELU temporary stay in a core's L2 cache.
 _PAIR_BLOCK = 2 ** 15
 
 
@@ -622,9 +624,11 @@ def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
                 work: np.ndarray | None = None) -> np.ndarray:
     """Pair rows lo:hi of a head's hidden table,
     ELU((scaled[i, 0] + scaled[j, 1]) * inv[i, j] + bias), [hi - lo, t, d],
-    computed in `out` with `work` as ELU's temporary (new arrays if None)."""
-    block = np.add(scaled[lo:hi, None, 0], scaled[None, :, 1], out=out)
-    block *= inv[lo:hi]
+    computed in `out` with `work` as ELU's temporary (new arrays if None).
+    With a leading head axis on all three, every head's rows at once."""
+    block = np.add(scaled[..., lo:hi, None, 0, :], scaled[..., None, :, 1, :],
+                   out=out)
+    block *= inv[..., lo:hi, :, :]
     block += bias
     return _elu(block, out=block, work=work)
 
@@ -654,116 +658,151 @@ def _mix_streams(h: np.ndarray, terms, out: np.ndarray) -> None:
 def pair_scores(layers: Sequence[Tensor], coeffs: Sequence[float],
                 w_pair: Tensor, b_pair: Tensor, gain: Tensor, bias: Tensor,
                 w_out: Tensor, b_out: Tensor, eps: float = 1e-5) -> Tensor:
-    """A whole pair-scoring head as one node: [t, t, width] probabilities.
+    """One pair-scoring head as one node: [t, t, width] probabilities, the
+    one-head case of `pair_heads`."""
+    return pair_heads(layers, [(coeffs, w_pair, b_pair, gain, bias, w_out,
+                                b_out)], eps)[0]
 
-    The n layers are [t, 2, 3, w] encoder outputs of one shape; the head
-    reads field 0 (h_tilde) of each and mixes its three streams with the
-    coefficient triple into [t, w] token features (`_MIX_ORDER`). The pair
-    feature of tokens (i, j) concatenates, layer by layer, the features of
-    token i then token j; it is projected by w_pair [2 * n * w, d_h],
-    shifted by b_pair, layer-normalized, passed through ELU, mapped by
-    w_out and b_out, and squashed by a sigmoid. The projection is
-    factorised: every token is projected once as i and once as j, so the
-    [t * t, 2 * n * w] pair matrix never exists. The layer norm's
-    statistics are factorised too (`_pair_norm_stats`): they come from the
-    two centred [t, d_h] sides and one [t, t] product.
 
-    Nor does a [t, t, d_h] hidden table larger than _PAIR_BLOCK elements
-    exist whole: it streams through one buffer of at most that size (one
+def pair_heads(layers: Sequence[Tensor], heads: Sequence[tuple],
+               eps: float = 1e-5) -> list[Tensor]:
+    """Pair-scoring heads over the same layers in one pass: one node and
+    one [t, t, width] probability table per head.
+
+    A head is a tuple (coeffs, w_pair, b_pair, gain, bias, w_out, b_out).
+    It mixes the three h_tilde streams of each [t, 2, 3, w] layer with its
+    coefficient triple (`_MIX_ORDER`); the pair feature of tokens (i, j)
+    concatenates, layer by layer, the features of token i then token j,
+    and is projected by w_pair [2 * n * w, d_h], shifted by b_pair,
+    layer-normalized, passed through ELU, mapped by w_out and b_out, and
+    squashed by a sigmoid. Every token is projected once as i and once as
+    j, and the norm's statistics come from those two sides and one [t, t]
+    product (`_pair_norm_stats`), so no [t * t, 2 * n * w] matrix exists.
+
+    The heads share d_h. Mixing and the three products run per head into
+    buffers with a leading head axis; the elementwise passes, reductions
+    and the sigmoid run once over those, which keeps a one-head call's
+    bits. A [t, t, d_h] hidden table larger than _PAIR_BLOCK elements
+    streams, head by head, through one buffer of at most that size (one
     pair row, if a row is larger), a block of pair rows at a time
-    (`_pair_block`: gain-scaled side plus gain-scaled side, normalized,
-    shifted, ELU), and one GEMM per block writes that block's logits.
-    Backward visits the same blocks and recomputes each one; a table that
-    fits in one block is kept from the forward instead. It rebuilds the
-    normalized rows from the centred sides, and writes one dense gradient
-    per layer.
+    (`_pair_block`), and one GEMM per block writes its logits. Backward
+    recomputes each streamed block; tables of one block are kept.
     """
     values = [layer.values for layer in layers]
     n = len(values)
     shape = values[0].shape
     if ([v.shape for v in values] != [shape] * n or len(shape) != 4
-            or shape[1:3] != (2, len(coeffs))):
+            or shape[1:3] != (2, 3)):
         raise ShapeError(f"pair layers must be [t, 2, 3, w] outputs of one "
                          f"shape, got {[v.shape for v in values]}")
     t, w = shape[0], shape[3]
-    wv = w_pair.values
-    d_h = wv.shape[1]
-    if wv.shape[0] != 2 * n * w:
-        raise ShapeError(f"w_pair has {wv.shape[0]} rows; {n} layers of "
-                         f"width {w} need {2 * n * w}")
-    terms = [(k, coeffs[k]) for k in _MIX_ORDER if coeffs[k] != 0.0]
-    feats = np.empty((t, n * w))
-    for k, v in enumerate(values):
-        _mix_streams(v[:, 0], terms, feats[:, k * w:(k + 1) * w])
-    # rows of w_pair, per layer: w reading token i, then w reading token j
-    w_ij = wv.reshape(n, 2, w, d_h).transpose(0, 2, 1, 3).reshape(n * w,
-                                                                   2 * d_h)
-    sides = feats.dot(w_ij).reshape(t, 2, d_h)   # each token as i, as j
-    sides[:, 1] += b_pair.values
+    n_heads = len(heads)
+    d_h = heads[0][1].values.shape[1]
+    # every layer's h_tilde streams side by side, [t, 3, n * w]
+    streams = values[0][:, 0] if n == 1 else np.concatenate(
+        [v[:, 0] for v in values], axis=-1)
+    feats = np.empty((n_heads, t, n * w))
+    sides = np.empty((n_heads, t, 2, d_h))   # each token as i, as j
+    affine = np.empty((n_heads, 3, d_h))     # b_pair, gain, bias
+    w_ijs, logits_at = [], [0]
+    for h, (coeffs, w_pair, b_pair, gain, bias, w_out, _) in enumerate(heads):
+        wv = w_pair.values
+        if len(coeffs) != 3 or wv.shape != (2 * n * w, d_h):
+            raise ShapeError(f"head {h}: {len(coeffs)} coefficients, w_pair "
+                             f"{wv.shape}; {n} layers of width {w} need 3 and "
+                             f"{2 * n * w} rows by the heads' d_h, {d_h}")
+        _mix_streams(streams, [(k, coeffs[k]) for k in _MIX_ORDER
+                               if coeffs[k] != 0.0], feats[h])
+        # rows of w_pair, per layer: w reading token i, then w reading j
+        w_ij = wv.reshape(n, 2, w, d_h).transpose(0, 2, 1, 3).reshape(
+            n * w, 2 * d_h)
+        np.dot(feats[h], w_ij, out=sides[h].reshape(t, 2 * d_h))
+        w_ijs.append(w_ij)
+        affine[h, 0], affine[h, 1], affine[h, 2] = (b_pair.values,
+                                                    gain.values, bias.values)
+        logits_at.append(logits_at[-1] + t * t * w_out.values.shape[1])
+    sides[:, :, 1] += affine[:, None, 0]
     inv = _pair_norm_stats(sides, eps)
-    gv, bv = gain.values, bias.values
-    scaled = sides * gv
-    w_outv = w_out.values
-    width = w_outv.shape[1]
+    scaled = sides * affine[:, None, None, 1]
+    bv = affine[:, None, None, 2]
     rows = _PAIR_BLOCK // max(1, t * d_h)
     if rows >= t:                        # one block: kept for backward
-        blocks = ((0, t),)
+        blocks, buf, work = ((0, t),), None, None
         hidden = _pair_block(scaled, inv, bv, 0, t)
-        logits = hidden.reshape(t * t, d_h).dot(w_outv)
     else:                                # streamed through one buffer
         rows = max(rows, 1)
         blocks = [(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
         buf, work = np.empty((2, rows, t, d_h))
-        hidden = None
-        logits = np.empty((t * t, width))
+        hidden = (None,) * n_heads
+    logits = np.empty(logits_at[-1])     # every head's, flat, in order
+    for h, head in enumerate(heads):
+        head_logits = logits[logits_at[h]:logits_at[h + 1]].reshape(t * t, -1)
         for lo, hi in blocks:
-            block = _pair_block(scaled, inv, bv, lo, hi, buf[:hi - lo],
-                                work[:hi - lo])
-            np.dot(block.reshape(-1, d_h), w_outv, out=logits[lo * t:hi * t])
-    logits += b_out.values
-    probs = _sigmoid(logits).reshape(t, t, width)
+            block = hidden[h] if hidden[h] is not None else _pair_block(
+                scaled[h], inv[h], bv[h], lo, hi, buf[:hi - lo],
+                work[:hi - lo])
+            np.dot(block.reshape(-1, d_h), head[5].values,
+                   out=head_logits[lo * t:hi * t])
+        head_logits += head[6].values
+    probs = _sigmoid(logits)
+    nodes = []
+    for h, head in enumerate(heads):
+        head_probs = probs[logits_at[h]:logits_at[h + 1]].reshape(t, t, -1)
+        nodes.append(_emit("pair_scores", (*layers, *head[1:]), head_probs,
+                           functools.partial(
+                               _pair_backward, shape, head[0],
+                               head[5].values, head_probs, feats[h],
+                               w_ijs[h], sides[h], inv[h], scaled[h],
+                               affine[h], hidden[h], blocks, buf, work)))
+    return nodes
 
-    def backward(g):
-        dlogits = g * probs * (1.0 - probs)
-        db_out = np.add.reduce(dlogits, axis=(0, 1))
-        w_outt = w_outv.T
-        dproj = np.empty((t, 2 * d_h))   # row sums as i, column sums as j
-        for lo, hi in blocks:
-            h = hidden if hidden is not None else _pair_block(
-                scaled, inv, bv, lo, hi, buf[:hi - lo], work[:hi - lo])
-            dl = dlogits[lo:hi]
-            dw = h.reshape(-1, d_h).T @ dl.reshape(-1, width)
-            dnorm = dl.dot(w_outt) * _elu_slope(h)
-            xhat = (sides[lo:hi, None, 0] + sides[None, :, 1]) * inv[lo:hi]
-            dpre, dg, db = _layer_norm_backward(dnorm, xhat, inv[lo:hi], gv)
-            dproj[lo:hi, :d_h] = np.add.reduce(dpre, axis=1)
-            cols = np.add.reduce(dpre, axis=0)
-            if lo == 0:                  # so that one block gives its bits
-                dw_out, dgain, dbias = dw, dg, db
-                dproj[:, d_h:] = cols
-            else:
-                dw_out += dw
-                dgain += dg
-                dbias += db
-                dproj[:, d_h:] += cols
-        db_pair = np.add.reduce(dproj[:, d_h:], axis=0)
-        dw_pair = (feats.T @ dproj).reshape(n, w, 2, d_h).transpose(
-            0, 2, 1, 3).reshape(2 * n * w, d_h)
-        dfeats = dproj @ w_ij.T
-        dlayers = []
-        for k in range(n):
-            dfeat = dfeats[:, k * w:(k + 1) * w]
-            dlayer = np.zeros(shape)
-            for j, c in enumerate(coeffs):
-                if c == 1.0:
-                    dlayer[:, 0, j] = dfeat
-                elif c != 0.0:
-                    np.multiply(dfeat, c, out=dlayer[:, 0, j])
-            dlayers.append(dlayer)
-        return (*dlayers, dw_pair, db_pair, dgain, dbias, dw_out, db_out)
 
-    return _emit("pair_scores", (*layers, w_pair, b_pair, gain, bias, w_out,
-                                 b_out), probs, backward)
+def _pair_backward(shape, coeffs, w_outv, probs, feats, w_ij, sides, inv,
+                   scaled, affine, hidden, blocks, buf, work, g):
+    """The gradients of one `pair_heads` head from its output gradient g,
+    over its own slices of the forward's buffers (`functools.partial` binds
+    them, and no Tensor: a node holding one would keep its record in a
+    reference cycle); `hidden` is its table, or None if it streamed."""
+    t, w = shape[0], shape[3]
+    n, d_h, width = feats.shape[1] // w, sides.shape[-1], w_outv.shape[1]
+    gv, bv = affine[1], affine[2]
+    dlogits = g * probs * (1.0 - probs)
+    db_out = np.add.reduce(dlogits, axis=(0, 1))
+    w_outt = w_outv.T
+    dproj = np.empty((t, 2 * d_h))       # row sums as i, column sums as j
+    for lo, hi in blocks:
+        h = hidden if hidden is not None else _pair_block(
+            scaled, inv, bv, lo, hi, buf[:hi - lo], work[:hi - lo])
+        dl = dlogits[lo:hi]
+        dw = h.reshape(-1, d_h).T @ dl.reshape(-1, width)
+        dnorm = dl.dot(w_outt) * _elu_slope(h)
+        xhat = (sides[lo:hi, None, 0] + sides[None, :, 1]) * inv[lo:hi]
+        dpre, dg, db = _layer_norm_backward(dnorm, xhat, inv[lo:hi], gv)
+        dproj[lo:hi, :d_h] = np.add.reduce(dpre, axis=1)
+        cols = np.add.reduce(dpre, axis=0)
+        if lo == 0:                      # so that one block gives its bits
+            dw_out, dgain, dbias = dw, dg, db
+            dproj[:, d_h:] = cols
+        else:
+            dw_out += dw
+            dgain += dg
+            dbias += db
+            dproj[:, d_h:] += cols
+    db_pair = np.add.reduce(dproj[:, d_h:], axis=0)
+    dw_pair = (feats.T @ dproj).reshape(n, w, 2, d_h).transpose(
+        0, 2, 1, 3).reshape(2 * n * w, d_h)
+    dfeats = dproj @ w_ij.T
+    dlayers = []
+    for k in range(n):
+        dfeat = dfeats[:, k * w:(k + 1) * w]
+        dlayer = np.zeros(shape)
+        for j, c in enumerate(coeffs):
+            if c == 1.0:
+                dlayer[:, 0, j] = dfeat
+            elif c != 0.0:
+                np.multiply(dfeat, c, out=dlayer[:, 0, j])
+        dlayers.append(dlayer)
+    return (*dlayers, dw_pair, db_pair, dgain, dbias, dw_out, db_out)
 
 
 def bce(probs: Tensor, gold: np.ndarray, eps: float,
@@ -771,14 +810,18 @@ def bce(probs: Tensor, gold: np.ndarray, eps: float,
     """-sum(mask * (gold * log(p) + (1 - gold) * log(1 - p))) * weight with
     p = clamp(probs, eps, 1 - eps), as one node.
 
-    gold and mask are float arrays of probs' shape. Forward and backward
-    repeat the arithmetic of the composed clamp/log/mul/sum chain followed
-    by affine_const(., weight, 0.0) in its order, so both give its bits,
-    and `clamp`'s and `log`'s checks still hold.
+    gold and mask are float arrays of probs' shape, gold binary (else a
+    ContractError). Each cell takes one log, of p where gold is 1 and of
+    1 - p where it is 0: for binary gold that is the composed
+    clamp/log/mul/sum chain followed by affine_const(., weight, 0.0) to the
+    bit, as is the backward, and `clamp`'s and `log`'s checks still hold.
     """
     av = probs.values
     if gold.shape != av.shape or mask is not None and mask.shape != av.shape:
         raise ShapeError(f"bce tables must have shape {av.shape}")
+    hit = gold != 0.0
+    if not np.logical_and.reduce((gold == hit).ravel()):
+        raise ContractError("gold tables must be binary")
     lo, hi = eps, 1.0 - eps
     if not lo < hi:
         raise ContractError(f"clamp bounds must satisfy lo < hi, got {lo}, {hi}")
@@ -788,22 +831,17 @@ def bce(probs: Tensor, gold: np.ndarray, eps: float,
     # positive (or NaN, which log accepts too)
     if not (lo > 0.0 and hi < 1.0) and (np.any(p <= 0.0) or np.any(q <= 0.0)):
         raise ContractError("log requires strictly positive values")
-    miss = 1.0 - gold
-    cells = gold * np.log(p)
-    cells += miss * np.log(q)
+    cells = np.log(np.where(hit, p, q))
     if mask is not None:
         cells *= mask
-    out = np.asarray((np.add.reduce(cells, axis=None) * -1.0 + 0.0) * weight
+    out = np.asarray((np.add.reduce(cells.ravel()) * -1.0 + 0.0) * weight
                      + 0.0)
 
     def backward(g):
         g = g * weight
         dcells = g * -1.0 if mask is None else (g * -1.0) * mask
-        dp = dcells * gold
-        dp /= p
-        dq = dcells * miss
-        dq /= q
-        dp -= dq
+        dp = dcells / np.where(hit, p, -q)   # d log(1 - p) / dp = -1 / q
+        dp += 0.0        # a masked cell's gradient is +0, as in the chain
         dp *= (av >= lo) & (av <= hi)
         return (dp,)
 

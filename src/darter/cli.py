@@ -275,8 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError, ContractError, InputError,
-            FileNotFoundError) as exc:
+    except (ConfigError, CorpusError, ContractError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDiverged, OSError) as exc:

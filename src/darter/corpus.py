@@ -49,12 +49,15 @@ __all__ = [
 
 def write_atomically(path, write) -> None:
     """Call write(handle) on a temporary file beside `path`, then rename it
-    over `path`, so a failed write leaves any previous file as it was."""
+    over `path`, so a failed write leaves any previous file as it was. A
+    file that cannot be written raises an OSError naming `path`."""
     temp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp, "w", encoding="utf-8") as handle:
             write(handle)
         os.replace(temp, path)
+    except OSError as exc:
+        raise OSError(f"{path}: cannot write: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(temp):         # the write failed
             os.unlink(temp)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, ParamStore, Tensor, pair_scores
+from .autodiff import (ContractError, ParamStore, Tensor, pair_heads,
+                       pair_scores)
 from .encoder import DamOutput
 
 ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
@@ -121,13 +122,15 @@ def decode_streams(outs: list[DamOutput], ner_head: DecoderParams,
                    entity_features: bool = True
                    ) -> tuple[EntityLogits, RelationLogits]:
     """Decode from every encoder layer at once; the pair features
-    concatenate all layers' mixed streams in layer order."""
+    concatenate all layers' mixed streams in layer order. Both heads run in
+    one `autodiff.pair_heads` pass, one node each."""
     if not outs:
         raise ContractError("decode_streams needs at least one encoder output")
-    layers = [out.stacked for out in outs]
     re_coeffs = relation_coefficients(alpha, beta, entity_features)
-    return (EntityLogits(pair_decode(layers, ENTITY_COEFFS, ner_head)),
-            RelationLogits(pair_decode(layers, re_coeffs, re_head)))
+    entities, relations = pair_heads([out.stacked for out in outs], [
+        (coeffs, h.w_pair, h.b_pair, h.ln_gain, h.ln_bias, h.w_out, h.b_out)
+        for coeffs, h in ((ENTITY_COEFFS, ner_head), (re_coeffs, re_head))])
+    return EntityLogits(entities), RelationLogits(relations)
 
 
 def threshold_predictions(e: EntityLogits, r: RelationLogits,

@@ -121,13 +121,18 @@ class DamOutput:
                                     SUBTASKS.index(p)))
 
 
-def _trace(out: Tensor, acts: dict[str, np.ndarray], reverse: bool,
-           interaction: bool) -> list[TraceStep]:
+def _trace(out: Tensor, acts: dict[str, np.ndarray], params: DamParams,
+           reverse: bool, interaction: bool) -> list[TraceStep]:
     """One TraceStep per token, in visiting order, every field [3, 1, d_h]
-    as a single composed step sees it."""
+    as a single composed step sees it; f = (z + b_f) + h_prev @ w_f, which
+    the layer never forms alone, is computed here."""
     t, _, _, d_h = out.shape
-    rows = dict(acts, z=acts["z"].transpose(1, 0, 2),
-                h_tilde=out.values[:, 0], h=out.values[:, 1])
+    h, zero = out.values[:, 1], np.zeros((1, 3, d_h))
+    h_in = np.concatenate((h[1:], zero) if reverse else (zero, h[:-1]))
+    f = acts["z"] + params.b_f.values + np.matmul(h_in.transpose(1, 0, 2),
+                                                  params.w_f.values)
+    rows = dict(acts, z=acts["z"].transpose(1, 0, 2), f=f.transpose(1, 0, 2),
+                h_tilde=out.values[:, 0], h=h)
 
     def at(key: str, i: int) -> np.ndarray:
         if key == "inter":
@@ -162,7 +167,8 @@ def encode_sequence(x: Tensor, params: DamParams,
                              params.b_f, params.w_c, params.b_c, params.w_a,
                              params.b_a, reverse=reverse,
                              mix=_MIX if interaction else None)
-    trace = _trace(out, acts, reverse, interaction) if collect_trace else None
+    trace = (_trace(out, acts, params, reverse, interaction) if collect_trace
+             else None)
     return DamOutput(out, trace)
 
 

@@ -158,6 +158,29 @@ def test_divergence_is_exit_1(tmp_path, capsys, monkeypatch):
     assert "epoch 0" in capsys.readouterr().err
 
 
+def test_history_into_a_missing_directory_is_exit_1(tmp_path, capsys):
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        history=os.path.join("nodir", "history.json"),
+        train={"lr": 0.01, "epochs": 1, "seed": 3}))
+    assert main(["train", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert os.path.join("nodir", "history.json: cannot write") in err
+    assert ".tmp" not in err and "Traceback" not in err
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_report_into_a_missing_directory_is_exit_1(tmp_path, capsys):
+    _zero_checkpoint(tmp_path)
+    config = config_file(tmp_path, name="eval.json", checkpoint="zero.json",
+                         test_corpus="train.jsonl",
+                         report=os.path.join("nodir", "report.json"))
+    assert main(["eval", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert os.path.join("nodir", "report.json: cannot write") in err
+    assert ".tmp" not in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # train
 

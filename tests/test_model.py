@@ -1,5 +1,8 @@
 """Model assembly: configuration contracts and end-to-end forward passes."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -267,3 +270,23 @@ def test_recorded_forwards_bind_fresh_leaves():
         assert b.record is second.record and b.node_id is not None
     plain = model.forward(ids, recording=False)
     assert all(t.node_id is None for t in plain.bound.values())
+
+
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+def test_a_recorded_step_is_freed_without_the_cycle_collector(variant):
+    """No node keeps a Tensor of its own record: a training step's record
+    is freed once its forward is dropped, not at the next collection."""
+    model = JointModel(tiny_config(variant=variant), SCHEMA, VOCAB)
+    ids = VOCAB.encode(["ada", "built", "acme"])
+    gc.collect()
+    gc.disable()
+    try:
+        forward = model.forward(ids)
+        loss = ad.add(ad.sum_all(forward.entities.probs),
+                      ad.sum_all(forward.relations.probs))
+        forward.record.backward(loss)
+        record = weakref.ref(forward.record)
+        del forward, loss
+        assert record() is None
+    finally:
+        gc.enable()

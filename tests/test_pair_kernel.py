@@ -289,3 +289,103 @@ def test_long_table_memory_stays_block_sized():
     assert head.node_id is not None
     assert peak < 5 * mb, f"unrecorded forward peak {peak / mb:.1f} MB"
     assert kept < 4 * mb, f"recorded head keeps {kept / mb:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# several heads over the same layers in one pass
+
+HEAD_KEYS = ("w_pair", "b_pair", "gain", "bias", "w_out", "b_out")
+
+
+def two_heads(rng, t, n, d_h):
+    """An entity-like and a relation-like head over n [t, 2, 3, d_h]
+    layers, with different widths. The relation head reads only the r
+    stream, whose tokens repeat, and projects token j by minus its token-i
+    weights: equal tokens cancel in that head and not in the other."""
+    layers = [rng.standard_normal((t, 2, 3, d_h)) for _ in range(n)]
+    for layer in layers:
+        layer[:, 0, 1] = rng.standard_normal((3, d_h))[rng.integers(0, 3, t)]
+    ent = head_params(rng, n, d_h, d_h, 3)
+    rel = head_params(rng, n, d_h, d_h, 2)
+    w = rel["w_pair"].reshape(n, 2, d_h, d_h)
+    w[:, 1] = -w[:, 0]
+    rel["b_pair"] = np.zeros(d_h)
+    return layers, [((1.0, 0.0, 1.0), ent), ((0.0, 1.0, 0.0), rel)]
+
+
+def head_tables(layers, heads, together):
+    """Each head's probabilities and the gradients of a weighted sum of
+    them, on one record per head, from one pair_heads call or from
+    separate one-head pair_scores calls."""
+    got = []
+    for h, (coeffs, p) in enumerate(heads):
+        rec = Record()
+        leaves = [rec.leaf(layer) for layer in layers]
+        params = [[rec.leaf(q[k]) for k in HEAD_KEYS] for _, q in heads]
+        if together:
+            probs = ad.pair_heads(leaves, [(c, *ps) for (c, _), ps in
+                                           zip(heads, params)])[h]
+        else:
+            probs = ad.pair_scores(leaves, coeffs, *params[h])
+        weights = np.random.default_rng(h).standard_normal(probs.shape)
+        rec.backward(ad.sum_all(ad.mul(probs, constant(weights))))
+        got.append([probs.values] + [rec.grad(x) for x in leaves + params[h]])
+    return got
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("t", [1, 2, 5, 20, 40])
+@pytest.mark.parametrize("n", [1, 2])
+def test_heads_in_one_pass_match_one_head_calls_byte_for_byte(
+        monkeypatch, rows, t, n):
+    rng = np.random.default_rng(300 + 10 * t + n)
+    for d_h in (2, 8, 32):
+        if rows is not None:             # t > rows: the tables stream
+            block_rows(monkeypatch, rows, t, d_h)
+        layers, heads = two_heads(rng, t, n, d_h)
+        together = head_tables(layers, heads, True)
+        for h, alone in enumerate(head_tables(layers, heads, False)):
+            assert len(together[h]) == len(alone) == n + 7
+            for k, (a, b) in enumerate(zip(together[h], alone)):
+                assert a.tobytes() == b.tobytes(), f"d_h={d_h} head {h} #{k}"
+
+
+def test_the_cancelling_head_takes_the_cancellation_pass():
+    rng = np.random.default_rng(9)
+    t, d_h = 12, 8
+    layers, heads = two_heads(rng, t, 1, d_h)
+    for (coeffs, p), cancels in zip(heads, (False, True)):
+        feats = sum(c * layers[0][:, 0, k] for k, c in enumerate(coeffs))
+        sides = (feats @ p["w_pair"].reshape(2, d_h, d_h).transpose(
+            1, 0, 2).reshape(d_h, 2 * d_h)).reshape(t, 2, d_h)
+        sides[:, 1] += p["b_pair"]
+        sides -= sides.mean(axis=-1, keepdims=True)
+        sq = (sides * sides).sum(axis=-1)
+        total = sq[:, :1] + sq[:, 1]
+        ssq = 2.0 * sides[:, 0] @ sides[:, 1].T + total
+        assert bool(np.any(ssq * 1024.0 < total)) == cancels
+    probs = ad.pair_heads([constant(layer) for layer in layers],
+                          [(c, *(constant(p[k]) for k in HEAD_KEYS))
+                           for c, p in heads])
+    assert all(np.isfinite(pr.values).all() for pr in probs)
+
+
+def test_heads_must_share_d_h():
+    rng = np.random.default_rng(4)
+    layer = constant(rng.standard_normal((3, 2, 3, 4)))
+    heads = [(coeffs, *(constant(v) for v in head_params(rng, 1, 4, d_h, 2)
+                        .values()))
+             for coeffs, d_h in (((1.0, 0.0, 1.0), 4), ((0.0, 1.0, 0.0), 3))]
+    with pytest.raises(ad.ShapeError, match="heads' d_h"):
+        ad.pair_heads([layer], heads)
+
+
+def test_bce_rejects_non_binary_gold():
+    probs = constant(np.full((2, 2, 1), 0.5))
+    for gold in (np.full((2, 2, 1), 0.5), np.full((2, 2, 1), 2.0),
+                 np.full((2, 2, 1), np.nan), np.full((2, 2, 1), -1.0)):
+        with pytest.raises(ad.ContractError, match="binary"):
+            ad.bce(probs, gold, 1e-7)
+    gold = np.zeros((2, 2, 1))
+    gold[0, 1, 0] = 1.0
+    assert np.isfinite(ad.bce(probs, gold, 1e-7).item())
