@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,9 +108,7 @@ class Record:
         return grads
 
     def grad(self, t: Tensor) -> np.ndarray | None:
-        if t.node_id is None:
-            return None
-        return self.gradients.get(t.node_id)
+        return None if t.node_id is None else self.gradients.get(t.node_id)
 
 
 def constant(values) -> Tensor:
@@ -226,10 +225,10 @@ def tanh(a: Tensor) -> Tensor:
     return _emit("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
 
 
-def _sigmoid(av: np.ndarray) -> np.ndarray:
+def _sigmoid(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-av)) with the argument clamped at -709, where exp
-    still fits a float64, so it never overflows."""
-    x = np.maximum(av, -709.0)
+    still fits a float64, so it never overflows; `out` may be `av`."""
+    x = np.maximum(av, -709.0, out=out)
     np.negative(x, out=x)
     np.exp(x, out=x)
     x += 1.0
@@ -290,17 +289,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm gain/bias must have shape ({h},), got "
                          f"{gain.values.shape} and {bias.values.shape}")
     gv = gain.values
-    xhat, inv = _normalize(av, eps)
+    centered = av - _row_mean(av)
+    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
+    xhat = centered * inv
     out = xhat * gv + bias.values
     return _emit("layer_norm", (a, gain, bias), out,
                  lambda g: _layer_norm_backward(g, xhat, inv, gv))
-
-
-def _normalize(av: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-mean unit-variance rows of `av`, and the inverse deviations."""
-    centered = av - _row_mean(av)
-    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
-    return centered * inv, inv
 
 
 def _row_mean(av: np.ndarray) -> np.ndarray:
@@ -316,10 +310,9 @@ def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
     leading axis holds independent heads, one [t, t] product each.
 
     A pair row's mean is the sum of its sides' means, and for centred sides
-    c its squared norm is |c_i|^2 + |c_j|^2 + 2 c_i . c_j. Where c_j is
-    close to -c_i that sum cancels and loses digits, or even rounds below
-    zero, so the pairs where it falls under 2^-10 of |c_i|^2 + |c_j|^2 are
-    summed again from their rows.
+    c its squared norm is |c_i|^2 + |c_j|^2 + 2 c_i . c_j. Where that
+    cancels below 2^-10 of |c_i|^2 + |c_j|^2 (and may lose all its digits),
+    the pair is summed again from its row.
     """
     sides -= _row_mean(sides)
     sq = np.add.reduce(sides * sides, -1)        # [..., t, 2]
@@ -364,8 +357,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         out = np.concatenate([p.values for p in parts], axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat: {e}") from None
-    sizes = [p.values.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
+    offsets = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
 
     def backward(g):
         return tuple(np.split(g, offsets, axis=axis))
@@ -433,29 +425,57 @@ def sum_all(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused layers: one node each, forward in plain numpy, backward by hand
 
-@functools.lru_cache(maxsize=64)
-def _dam_layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """eye(n), and where dam_sequence's weights go in one flat buffer that
-    holds its [n*d, 2*n*d] step matrix and then its [n*d, n*d] w_a matrix.
+# Per-thread workspaces of the fused kernels, keyed by shape only: a kernel
+# rewrites what it reads from one on every call, and no node keeps one.
+_workspaces = threading.local()
 
-    Step matrix rows are (stream m, unit i), columns (group s, stream k,
-    unit j). The positions are listed in the order of the values: the
-    dense gate-weighted w_f blocks ordered (m, k, i, j) (s = 0), w_c's
-    diagonal blocks (s = 1), w_a's diagonal blocks.
-    """
-    m, k, i, j = np.meshgrid(*(np.arange(size) for size in (n, n, d, d)),
-                             indexing="ij")
-    diag = m == k
-    step = [(((m * d + i) * 2 + group) * n + k) * d + j for group in range(2)]
-    a_block = 2 * (n * d) ** 2 + ((m * d + i) * n + k) * d + j
-    positions = np.concatenate((step[0].ravel(), step[1][diag],
-                                a_block[diag]))
+
+def _workspace(name: str, build: Callable, *shape):
+    """This thread's build(*shape), made again when the shape changes."""
+    ws = getattr(_workspaces, name, None)
+    if ws is None or ws[0] != shape:
+        ws = (shape, build(*shape))
+        setattr(_workspaces, name, ws)
+    return ws[1]
+
+
+def scratch(name: str, size: int) -> np.ndarray:
+    """This thread's grow-only scratch `name`, `size` long, for one call."""
+    buf = getattr(_workspaces, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_workspaces, name, buf)
+    return buf[:size]
+
+
+def _dam_pack(n: int, d: int, transposed: bool) -> Callable:
+    """pack(mix, w_f, w_c, w_a): write the gate-weighted w_f blocks and the
+    w_c and w_a diagonal blocks into one zeroed buffer, through views made
+    once, and return the step matrix [n*d, 2*n*d] (or its C-contiguous
+    transpose), the w_a matrix [n*d, n*d] and the gate eye(n) + mix. Step
+    matrix rows are (stream m, unit i), columns (group s, stream k, unit
+    j): group 0 gives f + inter, group 1 the candidate's argument."""
+    width = n * d
+    buf = np.zeros(3 * width * width)
+    step = buf[:2 * width * width].reshape(
+        (2 * width, width) if transposed else (width, 2 * width))
+    w_ab = buf[2 * width * width:].reshape(width, width)
+    blocks = (step.reshape(2, n, d, n, d).transpose(3, 4, 0, 1, 2)
+              if transposed else step.reshape(n, d, 2, n, d))  # [m, i, s, k, j]
+    f_blocks = blocks[:, :, 0]
+    c_diag = np.einsum("mimj->mij", blocks[:, :, 1])
+    a_diag = np.einsum("mimj->mij", w_ab.reshape(n, d, n, d))
     eye = np.eye(n)
-    eye.flags.writeable = positions.flags.writeable = False
-    return eye, positions
 
+    def pack(mix, w_f, w_c, w_a):
+        gate = eye if mix is None else eye + mix     # f + inter = gate @ f
+        np.multiply(gate.T[:, None, :, None], w_f[:, :, None, :],
+                    out=f_blocks)
+        np.copyto(c_diag, w_c)
+        np.copyto(a_diag, w_a)
+        return step, w_ab, gate
 
-_DAM_KINDS = ("w_f", "w_c", "w_a", "b_z", "b_f", "b_c", "b_a")
+    return pack
 
 
 def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
@@ -479,13 +499,15 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
         h_tilde = tanh(a)    c = a @ w_a + b_a    h = tanh(c)
 
     The streams sit side by side in one row of width n*d, so the per-stream
-    weights act as block-diagonal matrices. The mix is linear and is folded
-    into the forget weights, so one product per step yields f + inter and
-    the candidate's argument; f alone is never formed.
+    weights act as block-diagonal matrices, packed on every call into a
+    per-thread workspace. The mix is folded into the forget weights, so one
+    product per step yields f + inter and the candidate's argument.
 
     Returns the output [t, 2, n, d], h_tilde then h for each token, and the
     activations: z as [n, t, d], and ctil, a, c as [t, n*d] rows in token
-    order. Backward is backpropagation through time over them.
+    order. Backward is backpropagation through time over them. It packs
+    the weights again, transposed, as they are when it runs: like w_z,
+    bound parameters are views of `ParamStore.flat`.
     """
     xv, w_zv = x.values, w_z.values
     if w_zv.ndim != 3:
@@ -495,12 +517,12 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
     shapes = (w_f.values.shape, w_c.values.shape, w_a.values.shape,
               b_z.values.shape, b_f.values.shape, b_c.values.shape,
               b_a.values.shape)
-    if shapes != (square, square, square, row, row, row, row):
-        for name, shape, want in zip(_DAM_KINDS, shapes, (square,) * 3 +
-                                     (row,) * 4):
+    wants = (square,) * 3 + (row,) * 4
+    if shapes != wants:
+        for name, shape, want in zip(("w_f", "w_c", "w_a", "b_z", "b_f",
+                                      "b_c", "b_a"), shapes, wants):
             if shape != want:
-                raise ShapeError(f"{name} must have shape {want}, "
-                                 f"got {shape}")
+                raise ShapeError(f"{name} must have shape {want}, got {shape}")
     xsh = xv.shape
     if xsh[1:] == (d_in,):
         xin = xv
@@ -517,15 +539,8 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
     z += b_z.values
     width = n * d
     order = range(t - 1, -1, -1) if reverse else range(t)
-    eye, positions = _dam_layout(n, d)
-    gate = eye if mix is None else eye + mix     # f + inter = gate @ f
-    w_fv = w_f.values
-    weights = np.zeros(3 * width * width)
-    weights[positions] = np.concatenate((
-        (gate.T[:, :, None] * w_fv.reshape(n, 1, d * d)).ravel(),
-        w_c.values.ravel(), w_a.values.ravel()))
-    w_all = weights[:2 * width * width].reshape(width, 2 * width)
-    w_ab = weights[2 * width * width:].reshape(width, width)
+    weights = (mix, w_f.values, w_c.values, w_a.values)
+    w_all, w_ab, gate = _workspace("dam", _dam_pack, n, d, False)(*weights)
     b_av = b_a.values.reshape(width)
     zb = np.empty((2, n, t, d))           # the same two groups, from z
     np.matmul(gate, (z + b_f.values).reshape(n, t * d),
@@ -535,12 +550,10 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
 
     pre = np.empty((t, 2 * width))       # f + inter, ctil, per token
     fs_all, ctil_all = pre[:, :width], pre[:, width:]
-    a_all = np.empty((t, width))
-    c_all = np.empty((t, width))
+    a_all, c_all = np.empty((2, t, width))
     out = np.empty((t, 2, width))
     h_all = out[:, 1]
-    # per token, in visiting order
-    rows = (zb, pre, fs_all, ctil_all, a_all, c_all, h_all)
+    rows = (zb, pre, fs_all, ctil_all, a_all, c_all, h_all)  # visiting order
     if reverse:
         rows = tuple([r[::-1] for r in rows])
     h = c = fs = np.zeros(width)         # fs: f + inter of the previous step
@@ -560,9 +573,11 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
         da_out = g[:, 0] * (1.0 - h_tilde * h_tilde)
         dtanh_h = 1.0 - h_all * h_all
         dp_scale = fs_all * (1.0 - ctil_all * ctil_all)
-        # one contiguous copy: as a strided view, every token's product
-        # would repack it
-        w_abt, w_fct = w_ab.T, np.ascontiguousarray(w_all.T)
+        # the step matrix transposed and C-contiguous: as a strided view,
+        # every token's product would repack it
+        w_fct, w_ab, _ = _workspace("dam_backward", _dam_pack, n, d,
+                                    True)(*weights)
+        w_abt = w_ab.T
         dc_all = np.empty((t, width))
         dpre = np.empty((t, 2 * width))  # d(f + inter), d(ctil's argument)
         dh = dc_next = dfs_next = np.zeros(width)   # from the later step
@@ -584,11 +599,8 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
         def streams(rows):               # [t, n*d] -> [n, t, d]
             return rows.reshape(t, n, d).transpose(1, 0, 2)
 
-        h_in = np.zeros((t, width))      # the hidden state each token read
-        if reverse:
-            h_in[:-1] = h_all[1:]
-        else:
-            h_in[1:] = h_all[:-1]
+        zero = np.zeros((1, width))      # h_in: the hidden state each read
+        h_in = np.concatenate((h_all[1:], zero) if reverse else (zero, h_all[:-1]))
 
         dfs_all = dpre[:, :width].reshape(t, n, d)
         df = dfs_all if mix is None else dfs_all + np.matmul(mix.T, dfs_all)
@@ -620,12 +632,14 @@ _PAIR_BLOCK = 2 ** 15
 
 
 def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
-                lo: int, hi: int, out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+                lo: int, hi: int, streamed: bool = False) -> np.ndarray:
     """Pair rows lo:hi of a head's hidden table,
     ELU((scaled[i, 0] + scaled[j, 1]) * inv[i, j] + bias), [hi - lo, t, d],
-    computed in `out` with `work` as ELU's temporary (new arrays if None).
-    With a leading head axis on all three, every head's rows at once."""
+    new (any leading head axis kept) or, if streamed, in `scratch`."""
+    out = work = None
+    if streamed:
+        shape = (hi - lo, *scaled.shape[::2])
+        out, work = scratch("pair", 2 * math.prod(shape)).reshape(2, *shape)
     block = np.add(scaled[..., lo:hi, None, 0, :], scaled[..., None, :, 1, :],
                    out=out)
     block *= inv[..., lo:hi, :, :]
@@ -681,12 +695,11 @@ def pair_heads(layers: Sequence[Tensor], heads: Sequence[tuple],
 
     The heads share d_h. Mixing and the three products run per head into
     buffers with a leading head axis; the elementwise passes, reductions
-    and the sigmoid run once over those, which keeps a one-head call's
-    bits. A [t, t, d_h] hidden table larger than _PAIR_BLOCK elements
-    streams, head by head, through one buffer of at most that size (one
-    pair row, if a row is larger), a block of pair rows at a time
-    (`_pair_block`), and one GEMM per block writes its logits. Backward
-    recomputes each streamed block; tables of one block are kept.
+    and the sigmoid (in place on the logits) run once over those, which
+    keeps a one-head call's bits. A [t, t, d_h] hidden table larger than
+    _PAIR_BLOCK elements streams, head by head, through scratch of at most
+    that size (one pair row, if a row is larger), a block of pair rows at
+    a time, which backward recomputes; tables of one block are kept.
     """
     values = [layer.values for layer in layers]
     n = len(values)
@@ -725,26 +738,21 @@ def pair_heads(layers: Sequence[Tensor], heads: Sequence[tuple],
     inv = _pair_norm_stats(sides, eps)
     scaled = sides * affine[:, None, None, 1]
     bv = affine[:, None, None, 2]
-    rows = _PAIR_BLOCK // max(1, t * d_h)
-    if rows >= t:                        # one block: kept for backward
-        blocks, buf, work = ((0, t),), None, None
-        hidden = _pair_block(scaled, inv, bv, 0, t)
-    else:                                # streamed through one buffer
-        rows = max(rows, 1)
-        blocks = [(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
-        buf, work = np.empty((2, rows, t, d_h))
-        hidden = (None,) * n_heads
+    rows = max(_PAIR_BLOCK // max(1, t * d_h), 1)
+    blocks = [(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
+    # one block is kept for backward, more stream through scratch
+    hidden = (_pair_block(scaled, inv, bv, 0, t) if rows >= t
+              else (None,) * n_heads)
     logits = np.empty(logits_at[-1])     # every head's, flat, in order
     for h, head in enumerate(heads):
         head_logits = logits[logits_at[h]:logits_at[h + 1]].reshape(t * t, -1)
         for lo, hi in blocks:
             block = hidden[h] if hidden[h] is not None else _pair_block(
-                scaled[h], inv[h], bv[h], lo, hi, buf[:hi - lo],
-                work[:hi - lo])
+                scaled[h], inv[h], bv[h], lo, hi, streamed=True)
             np.dot(block.reshape(-1, d_h), head[5].values,
                    out=head_logits[lo * t:hi * t])
         head_logits += head[6].values
-    probs = _sigmoid(logits)
+    probs = _sigmoid(logits, out=logits)
     nodes = []
     for h, head in enumerate(heads):
         head_probs = probs[logits_at[h]:logits_at[h + 1]].reshape(t, t, -1)
@@ -753,12 +761,12 @@ def pair_heads(layers: Sequence[Tensor], heads: Sequence[tuple],
                                _pair_backward, shape, head[0],
                                head[5].values, head_probs, feats[h],
                                w_ijs[h], sides[h], inv[h], scaled[h],
-                               affine[h], hidden[h], blocks, buf, work)))
+                               affine[h], hidden[h], blocks)))
     return nodes
 
 
 def _pair_backward(shape, coeffs, w_outv, probs, feats, w_ij, sides, inv,
-                   scaled, affine, hidden, blocks, buf, work, g):
+                   scaled, affine, hidden, blocks, g):
     """The gradients of one `pair_heads` head from its output gradient g,
     over its own slices of the forward's buffers (`functools.partial` binds
     them, and no Tensor: a node holding one would keep its record in a
@@ -772,7 +780,7 @@ def _pair_backward(shape, coeffs, w_outv, probs, feats, w_ij, sides, inv,
     dproj = np.empty((t, 2 * d_h))       # row sums as i, column sums as j
     for lo, hi in blocks:
         h = hidden if hidden is not None else _pair_block(
-            scaled, inv, bv, lo, hi, buf[:hi - lo], work[:hi - lo])
+            scaled, inv, bv, lo, hi, streamed=True)
         dl = dlogits[lo:hi]
         dw = h.reshape(-1, d_h).T @ dl.reshape(-1, width)
         dnorm = dl.dot(w_outt) * _elu_slope(h)
@@ -791,17 +799,13 @@ def _pair_backward(shape, coeffs, w_outv, probs, feats, w_ij, sides, inv,
     db_pair = np.add.reduce(dproj[:, d_h:], axis=0)
     dw_pair = (feats.T @ dproj).reshape(n, w, 2, d_h).transpose(
         0, 2, 1, 3).reshape(2 * n * w, d_h)
-    dfeats = dproj @ w_ij.T
-    dlayers = []
-    for k in range(n):
-        dfeat = dfeats[:, k * w:(k + 1) * w]
-        dlayer = np.zeros(shape)
-        for j, c in enumerate(coeffs):
-            if c == 1.0:
-                dlayer[:, 0, j] = dfeat
-            elif c != 0.0:
-                np.multiply(dfeat, c, out=dlayer[:, 0, j])
-        dlayers.append(dlayer)
+    dfeats = (dproj @ w_ij.T).reshape(t, n, w).swapaxes(0, 1)
+    dlayers = np.zeros((n, *shape))
+    for j, c in enumerate(coeffs):
+        if c == 1.0:
+            dlayers[:, :, 0, j] = dfeats
+        elif c != 0.0:
+            np.multiply(dfeats, c, out=dlayers[:, :, 0, j])
     return (*dlayers, dw_pair, db_pair, dgain, dbias, dw_out, db_out)
 
 
@@ -812,9 +816,8 @@ def bce(probs: Tensor, gold: np.ndarray, eps: float,
 
     gold and mask are float arrays of probs' shape, gold binary (else a
     ContractError). Each cell takes one log, of p where gold is 1 and of
-    1 - p where it is 0: for binary gold that is the composed
-    clamp/log/mul/sum chain followed by affine_const(., weight, 0.0) to the
-    bit, as is the backward, and `clamp`'s and `log`'s checks still hold.
+    1 - p where it is 0: the composed clamp/log/mul/sum chain and
+    affine_const(., weight, 0.0) to the bit, backward too, with their checks.
     """
     av = probs.values
     if gold.shape != av.shape or mask is not None and mask.shape != av.shape:
@@ -855,18 +858,15 @@ class ParamStore:
     """Named float64 parameter arrays with deterministic seeded init.
 
     Names are unique and shapes immutable once added. Weight matrices draw
-    from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); the draw order is the
-    insertion order, so a given seed reproduces values bit for bit.
+    from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) in insertion order, so a
+    given seed reproduces values bit for bit.
 
     Once `flat` is read, every named array is a view into that one
-    contiguous vector, in insertion order, and `set_` and `zero_all` write
-    through the views. Registering a parameter afterwards drops the
-    vector; the next read of `flat` builds a new one.
-
-    Binding to a record that does not record hands out one cached set of
-    untracked Tensors over the live arrays, so in-place writes to the
-    parameters (`set_`, Adam, gradient checks) show through them; it is
-    rebuilt whenever the named arrays are replaced.
+    contiguous vector, in insertion order; registering a parameter drops
+    the vector, and the next read of `flat` builds a new one. Binding to a
+    record that does not record hands out one cached set of untracked
+    Tensors over the live arrays, so in-place writes (`set_`, Adam,
+    gradient checks) show through them.
     """
 
     def __init__(self, seed: int):

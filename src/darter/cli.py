@@ -128,9 +128,10 @@ def cmd_train(args) -> int:
     model = JointModel(model_config, schema, vocab)
     history = train(model, corpus, train_config, weights)
     checkpoint_path = _output_path(args, run, "checkpoint")
-    save_checkpoint(checkpoint_path, model)
+    # the history first, so that a failed write leaves the old checkpoint
     if "history" in run:
         save_history(run["history"], history)
+    save_checkpoint(checkpoint_path, model)
     final = f"{history[-1]:.6f}" if history else "n/a"
     print(f"trained {model_config.variant} on {len(corpus)} sentences for "
           f"{train_config.epochs} epochs; final mean loss {final}")

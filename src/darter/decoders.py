@@ -138,15 +138,18 @@ def threshold_predictions(e: EntityLogits, r: RelationLogits,
                           diagonal_only: bool = False) -> PredictionSet:
     """Strictly-above-tau cells; entity cells below the diagonal are
     ignored, and in tail-only mode everything off it is too."""
-    hit = e.probs.values > tau
-    if diagonal_only:
-        i, k = np.diagonal(hit).T.nonzero()
-        i = i.tolist()
-        entities = zip(i, i, k.tolist())
-    else:                                # np.triu masks the last two axes
-        k, i, j = np.triu(hit.transpose(2, 0, 1)).nonzero()
-        entities = zip(i.tolist(), j.tolist(), k.tolist())
-    i, m, k = (r.probs.values > tau).nonzero()
+    i, j, k = _cells_above(e.probs.values, tau)
+    keep = i == j if diagonal_only else i <= j
+    entities = zip(i[keep].tolist(), j[keep].tolist(), k[keep].tolist())
+    i, m, k = _cells_above(r.probs.values, tau)
     relations = zip(i.tolist(), m.tolist(), k.tolist())
     return PredictionSet(entities=frozenset(entities),
                          relations=frozenset(relations))
+
+
+def _cells_above(table: np.ndarray, tau: float):
+    """Row, column and type indices of the cells of a [t, t, w] table
+    above tau, from one flat scan."""
+    t, _, w = table.shape
+    cell, k = divmod(np.flatnonzero(table > tau), w)
+    return (*divmod(cell, t), k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, add, bce
+from .autodiff import ContractError, Tensor, add, bce, scratch
 from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
                      gold_tables, open_input, write_json)
 from .decoders import ALPHA_BETA_GRID
@@ -123,9 +123,10 @@ class Adam:
     """Adam with bias correction over the store's flat parameter vector.
 
     step() gathers the named gradients into one flat buffer, in the
-    store's order, and updates with in-place calls on preallocated
-    buffers. The operations and their order are those of the per-array
-    formula
+    store's order, and updates the moments in place, with this thread's
+    `autodiff.scratch` for the gradient and the temporaries, so a step
+    allocates nothing. The operations and their order are those of the
+    per-array formula
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + ((1 - beta2) * g) * g
@@ -144,15 +145,13 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        size = store.flat.size
-        self._m, self._v, self._grad, self._work, self._denom = (
-            np.zeros(size) for _ in range(5))
+        self._m, self._v = np.zeros((2, store.flat.size))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
-        g, m, v = self._grad, self._m, self._v
-        work, denom = self._work, self._denom
+        m, v = self._m, self._v
+        g, work, denom = scratch("adam", 3 * m.size).reshape(3, -1)
         np.concatenate([grads[name] for name in self.store.names()],
                        axis=None, out=g)
         m *= self.beta1

@@ -170,6 +170,20 @@ def test_history_into_a_missing_directory_is_exit_1(tmp_path, capsys):
     assert not (tmp_path / "nodir").exists()
 
 
+def test_failed_history_write_keeps_the_old_checkpoint(tmp_path, capsys):
+    setup_tree(tmp_path)
+    old = main(["train", "--config", config_file(tmp_path, **train_entries(
+        train={"lr": 0.01, "epochs": 1, "seed": 3}))])
+    assert old == 0
+    before = (tmp_path / "model.json").read_bytes()
+    config = config_file(tmp_path, name="again.json", **train_entries(
+        history=os.path.join("nodir", "history.json"),
+        train={"lr": 0.01, "epochs": 2, "seed": 4}))
+    assert main(["train", "--config", config]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert (tmp_path / "model.json").read_bytes() == before
+
+
 def test_report_into_a_missing_directory_is_exit_1(tmp_path, capsys):
     _zero_checkpoint(tmp_path)
     config = config_file(tmp_path, name="eval.json", checkpoint="zero.json",

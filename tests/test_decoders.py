@@ -5,12 +5,16 @@ import numpy.testing as npt
 import pytest
 
 import darter.autodiff as ad
+from darter import synthetic
 from darter.autodiff import ParamStore, Record, constant
+from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
 from darter.decoders import (DecoderParams, EntityLogits, RelationLogits,
                              decode_streams, pair_decode,
                              relation_coefficients, threshold_predictions)
 from darter.encoder import SUBTASKS, DamOutput
 from darter.gradcheck import max_relative_error, numeric_gradients
+from darter.model import JointModel, ModelConfig
+from darter.training import TrainConfig, train
 
 import oracles
 from composed import R_ONLY, bi_decode, ner_decode, r_slot, re_decode
@@ -371,3 +375,28 @@ def test_threshold_matches_a_reference_loop(diagonal_only):
             assert pred.relations == relations
             cells = pred.entities | pred.relations
             assert all(type(v) is int for cell in cells for v in cell)
+
+
+@pytest.mark.parametrize("diagonal_only", [False, True])
+def test_threshold_matches_the_reference_on_model_tables(diagonal_only):
+    """A briefly trained model's tables, on the bundled corpus and on
+    sentences of t = 20-150, threshold as the reference loop does."""
+    corpus_path, schema_path = synthetic.synthetic_paths()
+    schema = LabelSchema.load(schema_path)
+    corpus = load_corpus(corpus_path, schema, MatchMode.EXACT)
+    vocab = Vocabulary.from_corpus(corpus)
+    model = JointModel(ModelConfig(variant="bidarter", d_p=8, d_h=8, seed=2),
+                       schema, vocab)
+    train(model, corpus, TrainConfig(lr=1e-2, epochs=3, seed=2))
+    rng = np.random.default_rng(29)
+    sentences = [vocab.encode(s.tokens) for s in corpus] + [
+        rng.integers(0, vocab.size, t) for t in (20, 35, 50, 75, 100, 150)]
+    for token_ids in sentences:
+        forward = model.forward(token_ids, recording=False)
+        ev = forward.entities.probs.values
+        rv = forward.relations.probs.values
+        for tau in (0.5, np.quantile(ev, 0.9), np.quantile(rv, 0.9)):
+            pred = threshold_predictions(forward.entities, forward.relations,
+                                         tau, diagonal_only)
+            assert (pred.entities, pred.relations) == reference_threshold(
+                ev, rv, tau, diagonal_only)

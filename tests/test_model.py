@@ -1,6 +1,10 @@
 """Model assembly: configuration contracts and end-to-end forward passes."""
 
+import functools
 import gc
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -290,3 +294,110 @@ def test_a_recorded_step_is_freed_without_the_cycle_collector(variant):
         assert record() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the fused kernels' per-thread workspaces
+
+def _wide_model(variant, seed):
+    """d_h = 32: a 40-token sentence's pair tables stream through scratch."""
+    return JointModel(tiny_config(variant=variant, d_p=32, d_h=32, seed=seed),
+                      SCHEMA, VOCAB)
+
+
+def _gradients(forward):
+    weights = np.random.default_rng(5)
+    loss = ad.add(*(ad.sum_all(ad.mul(probs, constant(
+        weights.uniform(size=probs.shape))))
+        for probs in (forward.entities.probs, forward.relations.probs)))
+    grads = forward.record.backward(loss)
+    return [grads[leaf.node_id].tobytes() for leaf in forward.bound.values()]
+
+
+@pytest.mark.parametrize("t", [5, 40])
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+def test_workspaces_do_not_leak_between_calls(variant, t):
+    """Forwards of model B between model A's recorded forward and its
+    backward leave A's gradients byte-identical: the workspaces are keyed
+    by shape, the same for both, and hold no values across calls."""
+    a, b = _wide_model(variant, 1), _wide_model(variant, 2)
+    ids = np.random.default_rng(t).integers(0, VOCAB.size, t)
+    uninterrupted = _gradients(a.forward(ids))
+    forward = a.forward(ids)
+    for token_ids in (ids, ids[::-1].copy()):
+        b.forward(token_ids, recording=False)
+    assert _gradients(forward) == uninterrupted
+
+
+def test_threads_use_their_own_workspaces():
+    """Threads, more than the cores this process may use (up to 8), each
+    running forwards and backwards of its own model give the bits of
+    sequential runs."""
+    cores = min(len(os.sched_getaffinity(0)), 7)
+    models = [_wide_model("bidarter", seed) for seed in range(1, cores + 2)]
+    rng = np.random.default_rng(6)
+    sentences = [rng.integers(0, VOCAB.size, t) for t in (3, 40, 5, 36)]
+
+    def run(model):
+        return [(_probs(model.forward(ids, recording=False)),
+                 _gradients(model.forward(ids)))
+                for _ in range(3) for ids in sentences]
+
+    sequential = [run(model) for model in models]
+    threaded = [None] * len(models)
+    barrier = threading.Barrier(len(models))
+
+    def worker(k):
+        barrier.wait(timeout=60)
+        threaded[k] = run(models[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)          # switch threads often
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(models))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == sequential
+
+
+def _bound_arrays(fn, seen):
+    """Every array a backward function holds: closure cells and partial
+    arguments, searched through nested functions and containers."""
+    if id(fn) in seen:
+        return
+    seen.add(id(fn))
+    if isinstance(fn, np.ndarray):
+        yield fn
+    elif isinstance(fn, functools.partial):
+        for part in (fn.func, *fn.args, *fn.keywords.values()):
+            yield from _bound_arrays(part, seen)
+    elif isinstance(fn, (tuple, list)):
+        for part in fn:
+            yield from _bound_arrays(part, seen)
+    elif callable(fn) and getattr(fn, "__closure__", None):
+        for cell in fn.__closure__:
+            yield from _bound_arrays(cell.cell_contents, seen)
+
+
+def test_a_recorded_step_keeps_no_packed_weights():
+    """No node of a recorded bidarter step (d_h = 32) holds an array of
+    3 * (3 * d_h)^2 elements or more, a packed layer's size, other than
+    views of the parameters: the packs live in per-thread workspaces, and
+    backward packs the weights again."""
+    model = _wide_model("bidarter", 3)
+    limit = 3 * (3 * 32) ** 2
+    for t in (5, 40):
+        forward = model.forward(np.arange(t) % VOCAB.size)
+        seen = set()
+        for node in forward.record.nodes:
+            for arr in _bound_arrays(node.backward, seen):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                assert arr is model.store.flat or arr.size < limit, (
+                    node.tag, arr.shape)

@@ -515,12 +515,17 @@ def test_flat_adam_matches_per_name_reference_bit_for_bit():
 
     flat_store, ref_store = store(), store()
     flat, ref = Adam(flat_store, lr=0.03), ReferenceAdam(ref_store, lr=0.03)
+    # a larger optimizer stepping in between shares the thread's scratch
+    other_store = ParamStore(2)
+    other_store.add_uniform("big", (7, 9), fan_in=7)
+    other = Adam(other_store, lr=0.5)
     rng = np.random.default_rng(4)
     for step in range(7):
         grads = {"w": rng.standard_normal((3, 4)),
                  "b": rng.standard_normal(4) if step % 3 else np.zeros(4),
                  "still": np.zeros((2, 2))}
         flat.step({k: g.copy() for k, g in grads.items()})
+        other.step({"big": rng.standard_normal((7, 9))})
         ref.step(grads)
         for name in ref_store.names():
             assert flat_store[name].tobytes() == ref_store[name].tobytes()
