@@ -306,9 +306,9 @@ def _wide_model(variant, seed):
 
 
 def _gradients(forward):
-    weights = np.random.default_rng(5)
+    rng = np.random.default_rng(5)      # the same loss weights every call
     loss = ad.add(*(ad.sum_all(ad.mul(probs, constant(
-        weights.uniform(size=probs.shape))))
+        rng.uniform(size=probs.shape))))
         for probs in (forward.entities.probs, forward.relations.probs)))
     grads = forward.record.backward(loss)
     return [grads[leaf.node_id].tobytes() for leaf in forward.bound.values()]
