@@ -11,14 +11,13 @@ including an input path that cannot be read.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .autodiff import ContractError
 from .corpus import (CorpusError, Entity, InputError, LabelSchema,
                      MatchMode, Relation, Sentence, Vocabulary, load_corpus,
-                     open_input, relation_anchor, save_corpus, write_json)
+                     read_json, relation_anchor, save_corpus, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig, VARIANTS
@@ -32,17 +31,13 @@ _PATH_KEYS = ("schema", "train_corpus", "dev_corpus", "test_corpus",
               "input_corpus", "checkpoint", "history", "report",
               "predictions", "grid_results")
 _SECTION_KEYS = ("model", "train", "loss", "grid")
+# the keys of the grid section, each with the full grid it may narrow
+_GRIDS = {"alphas": ALPHA_BETA_GRID, "betas": ALPHA_BETA_GRID,
+          "gammas": GAMMA_DELTA_GRID, "deltas": GAMMA_DELTA_GRID}
 
 
 def _load_run_config(path) -> dict:
-    with open_input(path) as handle:
-        try:
-            run = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"{path}: not UTF-8 text: {exc.reason}") from None
+    run = read_json(path, ConfigError)
     if not isinstance(run, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     unknown = set(run) - set(_PATH_KEYS) - set(_SECTION_KEYS)
@@ -91,25 +86,26 @@ def _model_config(run: dict, args) -> ModelConfig:
     return ModelConfig.from_json(section)
 
 
-def _section(run: dict, key: str, cls) -> dict:
-    """A copy of the config's `key` section, whose keys must be fields of
-    the dataclass `cls`."""
+def _section(run: dict, key: str, known) -> dict:
+    """A copy of the config's `key` section, whose keys must be in `known`
+    (a dataclass's fields, or names)."""
     section = dict(run.get(key, {}))
-    unknown = set(section) - set(cls.__dataclass_fields__)
+    unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
     return section
 
 
 def _train_config(run: dict, args) -> TrainConfig:
-    section = _section(run, "train", TrainConfig)
+    section = _section(run, "train", TrainConfig.__dataclass_fields__)
     if args.seed is not None:
         section["seed"] = args.seed
     return TrainConfig(**section)
 
 
 def _loss_weights(run: dict) -> LossWeights:
-    return LossWeights(**_section(run, "loss", LossWeights))
+    return LossWeights(**_section(run, "loss",
+                                  LossWeights.__dataclass_fields__))
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +188,28 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _grid_values(run: dict, key: str, allowed) -> tuple:
-    section = run.get("grid", {})
-    if key not in section:
-        return allowed
-    values = section[key]
-    if (not isinstance(values, list) or not values
-            or any(v not in allowed for v in values)):
-        raise ConfigError(f"grid.{key} must be a non-empty subset of "
-                          f"{list(allowed)}")
-    return tuple(values)
+def _grids(run: dict) -> dict:
+    """The grid section's value lists, each a non-empty subset of its full
+    grid; a missing key sweeps the full grid."""
+    section = _section(run, "grid", _GRIDS)
+    grids = {}
+    for key, allowed in _GRIDS.items():
+        values = section.get(key, list(allowed))
+        # True == 1.0, so a boolean would pass the membership test
+        if (not isinstance(values, list) or not values
+                or any(isinstance(v, bool) or v not in allowed
+                       for v in values)):
+            raise ConfigError(f"grid.{key} must be a non-empty subset of "
+                              f"{list(allowed)}")
+        grids[key] = tuple(values)
+    return grids
 
 
 def cmd_gridsearch(args) -> int:
     run = _load_run_config(args.config)
     model_config = _model_config(run, args)
     train_config = _train_config(run, args)
+    grids = _grids(run)
     schema = LabelSchema.load(_require(run, "schema"))
     train_corpus = load_corpus(_require(run, "train_corpus"), schema,
                                model_config.match_mode)
@@ -216,12 +218,8 @@ def cmd_gridsearch(args) -> int:
     if not dev_corpus:
         raise ConfigError("gridsearch needs a non-empty dev corpus")
     vocab = Vocabulary.from_corpus(train_corpus)
-    result = grid_search(
-        model_config, schema, vocab, train_corpus, dev_corpus, train_config,
-        alphas=_grid_values(run, "alphas", ALPHA_BETA_GRID),
-        betas=_grid_values(run, "betas", ALPHA_BETA_GRID),
-        gammas=_grid_values(run, "gammas", GAMMA_DELTA_GRID),
-        deltas=_grid_values(run, "deltas", GAMMA_DELTA_GRID))
+    result = grid_search(model_config, schema, vocab, train_corpus,
+                         dev_corpus, train_config, **grids)
     out_path = _output_path(args, run, "grid_results")
     write_json(out_path, result.to_json(), indent=2)
     best = result.best

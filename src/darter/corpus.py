@@ -33,6 +33,8 @@ __all__ = [
     "gold_tables",
     "load_corpus",
     "open_input",
+    "read_json",
+    "read_text",
     "relation_anchor",
     "save_corpus",
     "sentence_from_json",
@@ -88,6 +90,25 @@ def write_json(path, obj, indent: int | None = None) -> None:
 
 class CorpusError(ValueError):
     """Raised when a schema or corpus file fails validation."""
+
+
+def read_text(path, error) -> str:
+    """The whole of `path` as UTF-8 text. Bytes that are not UTF-8 raise
+    `error` (an exception class) naming the path."""
+    with open_input(path) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def read_json(path, error):
+    """The one JSON document in `path`; malformed JSON, like text that is
+    not UTF-8, raises `error` naming the path."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: malformed JSON: {exc.msg}") from None
 
 
 class MatchMode(enum.Enum):
@@ -156,28 +177,30 @@ class LabelSchema:
             raise CorpusError(f"unknown relation type {name!r}") from None
 
     @classmethod
-    def load(cls, path) -> "LabelSchema":
-        with open_input(path) as handle:
-            try:
-                obj = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: malformed JSON: {exc.msg}") from None
-            except UnicodeDecodeError as exc:
-                raise CorpusError(
-                    f"{path}: not UTF-8 text: {exc.reason}") from None
+    def from_json(cls, obj) -> "LabelSchema":
+        """A schema from its JSON object, which holds exactly the two lists
+        of type names."""
         if (not isinstance(obj, dict)
                 or set(obj) != {"entity_types", "relation_types"}
-                or not isinstance(obj["entity_types"], list)
-                or not isinstance(obj["relation_types"], list)):
-            raise CorpusError(
-                f"{path}: expected an object with entity_types and "
-                f"relation_types lists")
-        return cls(tuple(obj["entity_types"]), tuple(obj["relation_types"]))
+                or not all(isinstance(names, list) for names in obj.values())):
+            raise CorpusError("expected an object with entity_types and "
+                              "relation_types lists")
+        return cls(obj["entity_types"], obj["relation_types"])
+
+    def to_json(self) -> dict:
+        return {"entity_types": list(self.entity_types),
+                "relation_types": list(self.relation_types)}
+
+    @classmethod
+    def load(cls, path) -> "LabelSchema":
+        obj = read_json(path, CorpusError)
+        try:
+            return cls.from_json(obj)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
 
     def save(self, path) -> None:
-        write_json(path, {"entity_types": list(self.entity_types),
-                          "relation_types": list(self.relation_types)},
-                   indent=2)
+        write_json(path, self.to_json(), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +312,10 @@ def sentence_to_json(sentence: Sentence) -> dict:
 
 def load_corpus(path, schema: LabelSchema,
                 mode: MatchMode = MatchMode.EXACT) -> list[Sentence]:
-    with open_input(path) as handle:
-        try:
-            lines = handle.readlines()
-        except UnicodeDecodeError as exc:
-            raise CorpusError(
-                f"{path}: not UTF-8 text: {exc.reason}") from None
     sentences = []
-    for line_no, line in enumerate(lines, start=1):
+    # not splitlines(), which also splits inside a JSON string at U+2028
+    for line_no, line in enumerate(read_text(path, CorpusError).split("\n"),
+                                   start=1):
         if not line.strip():
             continue
         try:
@@ -332,7 +351,11 @@ class Vocabulary:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.tokens, (list, tuple)):
+            raise CorpusError("vocabulary must be a list of tokens")
         object.__setattr__(self, "tokens", tuple(self.tokens))
+        if not all(isinstance(token, str) and token for token in self.tokens):
+            raise CorpusError("vocabulary tokens must be non-empty strings")
         if len(set(self.tokens)) != len(self.tokens):
             raise CorpusError("vocabulary tokens must be unique")
         object.__setattr__(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .autodiff import ParamStore, Record, Tensor, take
 from .corpus import LabelSchema, MatchMode, Vocabulary
@@ -97,19 +97,7 @@ class ModelConfig:
             raise ConfigError("seed must be non-negative")
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_layers": self.n_layers,
-            "d_p": self.d_p,
-            "d_h": self.d_h,
-            "interaction": self.interaction,
-            "entity_features_in_re": self.entity_features_in_re,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "match_mode": self.match_mode.value,
-            "mask_reversed_entity_cells": self.mask_reversed_entity_cells,
-            "seed": self.seed,
-        }
+        return asdict(self) | {"match_mode": self.match_mode.value}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":

@@ -10,14 +10,14 @@ F1, then entity F1, then first in enumeration order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+import json  # noqa: F401 -- json.dump is patched through this name in tests
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .autodiff import ContractError, Tensor, add, bce, scratch
 from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
-                     gold_tables, open_input, write_json)
+                     gold_tables, read_json, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig, check_types
@@ -255,9 +255,7 @@ class GridPoint:
     re_f1: float
 
     def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "delta": self.delta, "ner_f1": self.ner_f1,
-                "re_f1": self.re_f1}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -318,8 +316,7 @@ def save_checkpoint(path, model: JointModel) -> None:
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_json(),
-        "schema": {"entity_types": list(model.schema.entity_types),
-                   "relation_types": list(model.schema.relation_types)},
+        "schema": model.schema.to_json(),
         "vocab": list(model.vocab.tokens),
         "params": {name: {"shape": list(values.shape),
                           "data": values.ravel().tolist()}
@@ -345,14 +342,7 @@ def _check(where: str, make, *args):
 def load_checkpoint(path) -> JointModel:
     """Read a checkpoint. A missing, malformed or non-finite field is a
     ConfigError naming the file and the field."""
-    with open_input(path) as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"{path}: not UTF-8 text: {exc.reason}") from None
+    obj = read_json(path, ConfigError)
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a model checkpoint")
     if obj.get("version") != CHECKPOINT_VERSION:
@@ -361,9 +351,7 @@ def load_checkpoint(path) -> JointModel:
     config, schema, vocab, saved = (_field(obj, key, f"{path}: ") for key in
                                     ("config", "schema", "vocab", "params"))
     config = _check(f"{path}: config", ModelConfig.from_json, config)
-    schema = _check(f"{path}: schema", LabelSchema,
-                    *(_field(schema, key, f"{path}: schema.")
-                      for key in ("entity_types", "relation_types")))
+    schema = _check(f"{path}: schema", LabelSchema.from_json, schema)
     vocab = _check(f"{path}: vocab", Vocabulary, vocab)
     model = JointModel(config, schema, vocab)
     if not isinstance(saved, dict) or set(saved) != set(model.store.names()):

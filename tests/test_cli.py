@@ -470,6 +470,29 @@ def test_gridsearch_rejects_off_grid_values(tmp_path, capsys):
     assert "alphas" in capsys.readouterr().err
 
 
+def test_gridsearch_rejects_unknown_grid_keys(tmp_path, capsys):
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        dev_corpus="dev.jsonl", grid_results="grid.json",
+        grid={"alpha": [1.0]}, train={"lr": 0.01, "epochs": 1, "seed": 3}))
+    assert main(["gridsearch", "--config", config]) == 2
+    assert "unknown grid keys ['alpha']" in capsys.readouterr().err
+    assert not (tmp_path / "grid.json").exists()
+
+
+@pytest.mark.parametrize("key", ["alphas", "betas", "gammas", "deltas"])
+def test_gridsearch_boolean_grid_value_names_the_grid_key(tmp_path, capsys,
+                                                         key):
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        dev_corpus="dev.jsonl", grid_results="grid.json",
+        grid={key: [True]}, train={"lr": 0.01, "epochs": 1, "seed": 3}))
+    assert main(["gridsearch", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"grid.{key} must be a non-empty subset" in err
+    assert "must be a number" not in err
+
+
 # ---------------------------------------------------------------------------
 # atomic outputs
 

@@ -66,6 +66,19 @@ def test_schema_file_rejects_wrong_shape(tmp_path):
         LabelSchema.load(path)
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"entity_types": [], "relation_types": ["works"]},
+     "entity_types: at least one type required"),
+    ({"entity_types": ["per"], "relation_types": ["works", "works"]},
+     "relation_types: duplicate type names"),
+])
+def test_schema_file_rejections_name_the_file(tmp_path, obj, message):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"schema.json: {message}"):
+        LabelSchema.load(path)
+
+
 def test_match_mode_parse():
     assert MatchMode.parse("exact") is MatchMode.EXACT
     assert MatchMode.parse("tail") is MatchMode.TAIL
@@ -162,6 +175,16 @@ def test_save_load_round_trip(tmp_path):
     ]
     path = tmp_path / "corpus.jsonl"
     save_corpus(path, corpus)
+    assert load_corpus(path, SCHEMA) == corpus
+
+
+def test_round_trip_keeps_unicode_line_separators_in_tokens(tmp_path):
+    # written raw, not escaped, and only "\n" ends a corpus line
+    corpus = [sent(["a\u2028b", "c\u2029d", "e\x85f", "g\rh"]),
+              sent(["next"])]
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, corpus)
+    assert "\u2028" in path.read_text(encoding="utf-8")
     assert load_corpus(path, SCHEMA) == corpus
 
 

@@ -1,5 +1,6 @@
 """Loss arithmetic, the optimizer, the fit loop, search, and checkpoints."""
 
+import dataclasses
 import json
 import math
 import os
@@ -327,6 +328,21 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         npt.assert_array_equal(loaded.store[name], model.store[name])
 
 
+def test_checkpoint_keeps_every_config_field(tmp_path):
+    """A 3-layer darter moves every field but the variant off its default;
+    a bidarter, which has exactly two layers, moves the variant."""
+    off = dict(d_p=3, d_h=4, interaction=False, entity_features_in_re=False,
+               alpha=-1.0, beta=0.5, match_mode=MatchMode.TAIL,
+               mask_reversed_entity_cells=False, seed=7)
+    assert set(off) | {"variant", "n_layers"} == {
+        f.name for f in dataclasses.fields(ModelConfig)}
+    path = tmp_path / "model.json"
+    for config in (ModelConfig(n_layers=3, **off),
+                   ModelConfig(variant="bidarter", **off)):
+        save_checkpoint(path, JointModel(config, SCHEMA, VOCAB))
+        assert load_checkpoint(path).config == config
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}', encoding="utf-8")
@@ -391,6 +407,23 @@ def test_checkpoint_missing_key_is_config_error(tmp_path, key):
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(f"model.json: {key}: "
                                                     f"missing")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vocab", "abcde"),
+    ("vocab", [1, 2, 3, 4, 5]),
+    ("vocab", ["ada", "built", "", "mill", "runs"]),
+    ("schema", {"entity_types": "po", "relation_types": ["works"]}),
+    ("schema", {"entity_types": ["per", "org"], "relation_types": ["works"],
+                "notes": []}),
+])
+def test_checkpoint_bad_vocab_or_schema_is_config_error(tmp_path, key, value):
+    # each value fits the saved parameters' shapes
+    path, obj = _saved_checkpoint(tmp_path)
+    obj[key] = value
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"model.json: {key}: ")):
         load_checkpoint(path)
 
 
