@@ -128,11 +128,8 @@ def _emit(tag: str, inputs: tuple[Tensor, ...], values: np.ndarray,
         rec = r
     if rec is None or not rec.recording:
         return Tensor(values, rec, None)
-    ids = tuple(t.node_id for t in inputs)
-    if all(i is None for i in ids):
-        return Tensor(values, rec, None)
     nid = len(rec.nodes)
-    rec.nodes.append(_Node(tag, ids, backward))
+    rec.nodes.append(_Node(tag, tuple(t.node_id for t in inputs), backward))
     return Tensor(values, rec, nid)
 
 

@@ -1,8 +1,9 @@
 """Command-line entry point: train, eval, predict, and gridsearch.
 
 Each command reads a JSON config file naming its input and output paths plus
-optional ``model``, ``train``, ``loss``, and ``grid`` sections; command-line
-flags override single fields.  Relative paths in the config resolve against
+optional ``model``, ``train``, ``loss``, and ``grid`` sections; a command
+takes only the flags it reads, each overriding one field, and an error names
+the config file and the section.  Relative paths in the config resolve against
 the config file's directory.  Exit codes: 0 success, 1 runtime failure
 (divergence, failed writes), 2 configuration or validation failure,
 including an input path that cannot be read.
@@ -22,8 +23,8 @@ from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig, VARIANTS
 from .training import (GAMMA_DELTA_GRID, LossWeights, TrainConfig,
-                       TrainingDiverged, grid_search, load_checkpoint,
-                       save_checkpoint, save_history, train)
+                       TrainingDiverged, checked, grid_search,
+                       load_checkpoint, save_checkpoint, save_history, train)
 
 __all__ = ["build_parser", "main"]
 
@@ -55,70 +56,57 @@ def _load_run_config(path) -> dict:
     return run
 
 
-def _require(run: dict, key: str) -> str:
+def _require(args, run: dict, key: str) -> str:
     if key not in run:
-        raise ConfigError(f"config is missing required key {key!r}")
+        raise ConfigError(f"{args.config}: missing required key {key!r}")
     return run[key]
 
 
 def _output_path(args, run: dict, key: str) -> str:
-    if args.out:
-        return args.out
-    return _require(run, key)
+    return args.out or _require(args, run, key)
 
 
-def _model_config(run: dict, args) -> ModelConfig:
-    section = dict(run.get("model", {}))
-    if args.variant:
-        section["variant"] = args.variant
-        if args.layers is None:
-            section.pop("n_layers", None)
-    if args.layers is not None:
-        section["n_layers"] = args.layers
-    if args.no_interaction:
-        section["interaction"] = False
-    if args.no_entity_features_in_re:
-        section["entity_features_in_re"] = False
-    if args.match:
-        section["match_mode"] = args.match
-    if args.seed is not None:
-        section["seed"] = args.seed
-    return ModelConfig.from_json(section)
-
-
-def _section(run: dict, key: str, known) -> dict:
-    """A copy of the config's `key` section, whose keys must be in `known`
-    (a dataclass's fields, or names)."""
+def _section(args, run: dict, key: str, make, known, **flags):
+    """make(**section) for the run config's `key` section, which may hold
+    only `known` keys, with the flags that were given set over it. Every
+    error names the config file and the section."""
     section = dict(run.get(key, {}))
     unknown = set(section) - set(known)
     if unknown:
-        raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
-    return section
+        raise ConfigError(f"{args.config}: unknown {key} keys "
+                          f"{sorted(unknown)}")
+    section.update((k, v) for k, v in flags.items() if v is not None)
+    return checked(f"{args.config}: {key}", make, **section)
 
 
-def _train_config(run: dict, args) -> TrainConfig:
-    section = _section(run, "train", TrainConfig.__dataclass_fields__)
-    if args.seed is not None:
-        section["seed"] = args.seed
-    return TrainConfig(**section)
+def _model_config(args, run: dict) -> ModelConfig:
+    def make(**section):
+        if args.variant and args.layers is None:
+            section["n_layers"] = None  # the variant's own depth
+        return ModelConfig.from_json(section)
+    return _section(args, run, "model", make, ModelConfig.__dataclass_fields__,
+                    variant=args.variant, n_layers=args.layers,
+                    interaction=args.interaction,
+                    entity_features_in_re=args.entity_features_in_re,
+                    match_mode=args.match, seed=args.seed)
 
 
-def _loss_weights(run: dict) -> LossWeights:
-    return LossWeights(**_section(run, "loss",
-                                  LossWeights.__dataclass_fields__))
+def _train_config(args, run: dict) -> TrainConfig:
+    return _section(args, run, "train", TrainConfig,
+                    TrainConfig.__dataclass_fields__, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_train(args) -> int:
-    run = _load_run_config(args.config)
-    model_config = _model_config(run, args)
-    train_config = _train_config(run, args)
-    weights = _loss_weights(run)
-    schema = LabelSchema.load(_require(run, "schema"))
-    corpus = load_corpus(_require(run, "train_corpus"), schema,
+def cmd_train(args, run: dict) -> int:
+    model_config = _model_config(args, run)
+    train_config = _train_config(args, run)
+    weights = _section(args, run, "loss", LossWeights,
+                       LossWeights.__dataclass_fields__)
+    schema = LabelSchema.load(_require(args, run, "schema"))
+    corpus = load_corpus(_require(args, run, "train_corpus"), schema,
                          model_config.match_mode)
     vocab = Vocabulary.from_corpus(corpus)
     model = JointModel(model_config, schema, vocab)
@@ -135,14 +123,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    run = _load_run_config(args.config)
-    model = load_checkpoint(_require(run, "checkpoint"))
+def cmd_eval(args, run: dict) -> int:
+    model = load_checkpoint(_require(args, run, "checkpoint"))
     if "schema" in run and LabelSchema.load(run["schema"]) != model.schema:
-        raise ConfigError("schema file does not match the checkpoint schema")
+        raise ConfigError(f"{run['schema']}: schema file does not match the "
+                          f"schema of {run['checkpoint']}")
     scoring_mode = (MatchMode.parse(args.match) if args.match
                     else model.config.match_mode)
-    corpus = load_corpus(_require(run, "test_corpus"), model.schema,
+    corpus = load_corpus(_require(args, run, "test_corpus"), model.schema,
                          model.config.match_mode)
     report = evaluate_corpus(corpus, model.predict_corpus(corpus),
                              model.schema, scoring_mode)
@@ -175,11 +163,10 @@ def _prediction_sentence(model: JointModel, tokens) -> Sentence:
                     tuple(Relation(*r) for r in sorted(relations)), mode)
 
 
-def cmd_predict(args) -> int:
-    run = _load_run_config(args.config)
-    model = load_checkpoint(_require(run, "checkpoint"))
-    sentences = load_corpus(_require(run, "input_corpus"), model.schema,
-                            model.config.match_mode)
+def cmd_predict(args, run: dict) -> int:
+    model = load_checkpoint(_require(args, run, "checkpoint"))
+    sentences = load_corpus(_require(args, run, "input_corpus"),
+                            model.schema, model.config.match_mode)
     predicted = [_prediction_sentence(model, s.tokens) for s in sentences]
     out_path = _output_path(args, run, "predictions")
     save_corpus(out_path, predicted)
@@ -188,10 +175,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _grids(run: dict) -> dict:
+def _grids(**section) -> dict:
     """The grid section's value lists, each a non-empty subset of its full
     grid; a missing key sweeps the full grid."""
-    section = _section(run, "grid", _GRIDS)
     grids = {}
     for key, allowed in _GRIDS.items():
         values = section.get(key, list(allowed))
@@ -205,18 +191,18 @@ def _grids(run: dict) -> dict:
     return grids
 
 
-def cmd_gridsearch(args) -> int:
-    run = _load_run_config(args.config)
-    model_config = _model_config(run, args)
-    train_config = _train_config(run, args)
-    grids = _grids(run)
-    schema = LabelSchema.load(_require(run, "schema"))
-    train_corpus = load_corpus(_require(run, "train_corpus"), schema,
+def cmd_gridsearch(args, run: dict) -> int:
+    model_config = _model_config(args, run)
+    train_config = _train_config(args, run)
+    grids = _section(args, run, "grid", _grids, _GRIDS)
+    schema = LabelSchema.load(_require(args, run, "schema"))
+    train_corpus = load_corpus(_require(args, run, "train_corpus"), schema,
                                model_config.match_mode)
-    dev_corpus = load_corpus(_require(run, "dev_corpus"), schema,
+    dev_corpus = load_corpus(_require(args, run, "dev_corpus"), schema,
                              model_config.match_mode)
     if not dev_corpus:
-        raise ConfigError("gridsearch needs a non-empty dev corpus")
+        raise ConfigError(f"{run['dev_corpus']}: gridsearch needs a "
+                          "non-empty dev corpus")
     vocab = Vocabulary.from_corpus(train_corpus)
     result = grid_search(model_config, schema, vocab, train_corpus,
                          dev_corpus, train_config, **grids)
@@ -252,19 +238,26 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True,
                          help="JSON run configuration")
-        sub.add_argument("--seed", type=int,
-                         help="override model and shuffle seeds")
-        sub.add_argument("--variant", choices=VARIANTS,
-                         help="override the model variant (train commands)")
-        sub.add_argument("--layers", type=int, dest="layers",
-                         help="override the number of recurrent layers")
-        sub.add_argument("--no-interaction", action="store_true",
-                         help="disable cross-subtask mixing in the recurrence")
-        sub.add_argument("--no-entity-features-in-re", action="store_true",
-                         help="decode relations without entity streams")
-        sub.add_argument("--match", choices=[m.value for m in MatchMode],
-                         help="span matching: annotation mode when training, "
-                              "scoring mode when evaluating")
+        if name in ("train", "gridsearch"):
+            sub.add_argument("--seed", type=int,
+                             help="override model and shuffle seeds")
+            sub.add_argument("--variant", choices=VARIANTS,
+                             help="override the model variant")
+            sub.add_argument("--layers", type=int,
+                             help="override the number of recurrent layers")
+            # store_false over None: a flag left out overrides nothing
+            sub.add_argument("--no-interaction", dest="interaction",
+                             action="store_false", default=None,
+                             help="disable cross-subtask mixing in the "
+                                  "recurrence")
+            sub.add_argument("--no-entity-features-in-re",
+                             dest="entity_features_in_re",
+                             action="store_false", default=None,
+                             help="decode relations without entity streams")
+        if name != "predict":
+            sub.add_argument("--match", choices=[m.value for m in MatchMode],
+                             help="span matching: annotation mode when "
+                                  "training, scoring mode when evaluating")
         sub.add_argument("--out", help="override the command's output path")
         sub.set_defaults(func=func)
     return parser
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_run_config(args.config))
     except (ConfigError, CorpusError, ContractError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,14 +32,6 @@ class DecoderParams:
     w_out: Tensor       # [d_h, width]
     b_out: Tensor       # [width]
 
-    @property
-    def d_h(self) -> int:
-        return self.w_pair.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.w_out.shape[1]
-
     @staticmethod
     def register(store: ParamStore, prefix: str, n_streams: int, d_h: int,
                  width: int) -> None:

@@ -147,11 +147,15 @@ def error_taxonomy(pred_entities, pred_relations, sentence: Sentence,
                    schema: LabelSchema,
                    mode: MatchMode | None = None) -> ErrorTaxonomy:
     mode = sentence.mode if mode is None else mode
-    pred_e = project_entity_triples(pred_entities, mode)
-    gold_e = gold_entities(sentence, schema, mode)
-    pred_r = frozenset(pred_relations)
-    gold_r = gold_relations(sentence, schema, mode)
+    return _taxonomy(project_entity_triples(pred_entities, mode),
+                     gold_entities(sentence, schema, mode),
+                     frozenset(pred_relations),
+                     gold_relations(sentence, schema, mode),
+                     sentence, schema, mode)
 
+
+def _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence: Sentence,
+              schema: LabelSchema, mode: MatchMode) -> ErrorTaxonomy:
     gold_spans = {(i, j) for i, j, _ in gold_e}
     pred_spans = {(i, j) for i, j, _ in pred_e}
     et = len(pred_e & gold_e)
@@ -199,63 +203,52 @@ def error_taxonomy(pred_entities, pred_relations, sentence: Sentence,
 # corpus-level report
 
 
-def _micro_pair(pairs, schema, mode):
-    ner = PRF1()
-    re = PRF1()
-    for sentence, pred in pairs:
-        ner += score_entities(pred.entities, sentence, schema, mode)
-        re += score_relations(pred.relations, sentence, schema, mode)
-    return ner, re
-
-
-def _subset_json(pairs, schema, mode):
-    ner, re = _micro_pair(pairs, schema, mode)
-    return {"n_sentences": len(pairs), "ner": {"micro": ner.to_json()},
-            "re": {"micro": re.to_json()}}
-
-
 def evaluate_corpus(sentences, predictions, schema: LabelSchema,
                     mode: MatchMode) -> dict:
     """Score a corpus and return the full report as a JSON-ready dict."""
     if len(sentences) != len(predictions):
         raise ContractError(
             f"{len(sentences)} sentences but {len(predictions)} predictions")
-    pairs = list(zip(sentences, predictions))
-
-    ner_micro, re_micro = _micro_pair(pairs, schema, mode)
     ner_types = [PRF1() for _ in schema.entity_types]
     re_types = [PRF1() for _ in schema.relation_types]
     taxonomy = ErrorTaxonomy()
-    for sentence, pred in pairs:
+    # sentences, entity and relation micro counts of the OOT (no gold
+    # relation) and IT subsets; the corpus's micro counts are their sums
+    subsets = {"oot": [0, PRF1(), PRF1()], "it": [0, PRF1(), PRF1()]}
+    for sentence, pred in zip(sentences, predictions):
         pred_e = project_entity_triples(pred.entities, mode)
         gold_e = gold_entities(sentence, schema, mode)
         pred_r = frozenset(pred.relations)
         gold_r = gold_relations(sentence, schema, mode)
+        counts = subsets["it" if sentence.relations else "oot"]
+        counts[0] += 1
+        counts[1] += score_sets(pred_e, gold_e)
+        counts[2] += score_sets(pred_r, gold_r)
         for k, cell in enumerate(per_type_scores(pred_e, gold_e, schema.u)):
             ner_types[k] += cell
         for k, cell in enumerate(per_type_scores(pred_r, gold_r, schema.v)):
             re_types[k] += cell
-        taxonomy += error_taxonomy(pred.entities, pred.relations,
-                                   sentence, schema, mode)
+        taxonomy += _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence,
+                              schema, mode)
 
-    oot = [(s, p) for s, p in pairs if not s.relations]
-    it = [(s, p) for s, p in pairs if s.relations]
+    oot, it = subsets["oot"], subsets["it"]
     return {
         "match_mode": mode.value,
-        "n_sentences": len(pairs),
+        "n_sentences": len(sentences),
         "ner": {
-            "micro": ner_micro.to_json(),
+            "micro": (oot[1] + it[1]).to_json(),
             "macro_f1": macro_f1(ner_types),
             "per_type": {name: cell.to_json() for name, cell
                          in zip(schema.entity_types, ner_types)},
         },
         "re": {
-            "micro": re_micro.to_json(),
+            "micro": (oot[2] + it[2]).to_json(),
             "macro_f1": macro_f1(re_types),
             "per_type": {name: cell.to_json() for name, cell
                          in zip(schema.relation_types, re_types)},
         },
-        "oot": _subset_json(oot, schema, mode),
-        "it": _subset_json(it, schema, mode),
+        **{key: {"n_sentences": n, "ner": {"micro": ner.to_json()},
+                 "re": {"micro": re.to_json()}}
+           for key, (n, ner, re) in subsets.items()},
         "error_taxonomy": taxonomy.to_json(),
     }

@@ -7,7 +7,7 @@ analytic gradients are under test while never touching the backward rules.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -15,11 +15,10 @@ from .autodiff import ParamStore
 
 
 def numeric_gradients(loss_fn: Callable[[], float], store: ParamStore,
-                      step: float = 1e-5,
-                      names: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+                      step: float = 1e-5) -> dict[str, np.ndarray]:
     """d(loss)/d(component) by central differences, one component at a time."""
     out: dict[str, np.ndarray] = {}
-    for name in (store.names() if names is None else list(names)):
+    for name in store.names():
         arr = store[name]
         grad = np.zeros_like(arr)
         flat = arr.reshape(-1)

@@ -331,10 +331,11 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
-def _check(where: str, make, *args):
-    """make(*args), with a bad value reported as a ConfigError at `where`."""
+def checked(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a bad value reported as a ConfigError at
+    `where`."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -350,9 +351,9 @@ def load_checkpoint(path) -> JointModel:
                           f"{obj.get('version')!r}")
     config, schema, vocab, saved = (_field(obj, key, f"{path}: ") for key in
                                     ("config", "schema", "vocab", "params"))
-    config = _check(f"{path}: config", ModelConfig.from_json, config)
-    schema = _check(f"{path}: schema", LabelSchema.from_json, schema)
-    vocab = _check(f"{path}: vocab", Vocabulary, vocab)
+    config = checked(f"{path}: config", ModelConfig.from_json, config)
+    schema = checked(f"{path}: schema", LabelSchema.from_json, schema)
+    vocab = checked(f"{path}: vocab", Vocabulary, vocab)
     model = JointModel(config, schema, vocab)
     if not isinstance(saved, dict) or set(saved) != set(model.store.names()):
         raise ConfigError(f"{path}: checkpoint parameters do not match the "
@@ -360,8 +361,8 @@ def load_checkpoint(path) -> JointModel:
     for name, current in model.store.items():
         where = f"{path}: params.{name}"
         shape = _field(saved[name], "shape", f"{where}.")
-        values = _check(where, np.array, _field(saved[name], "data",
-                                                f"{where}."), np.float64)
+        values = checked(where, np.array, _field(saved[name], "data",
+                                                 f"{where}."), np.float64)
         if not isinstance(shape, list) or tuple(shape) != current.shape \
                 or values.size != current.size:
             raise ConfigError(f"{where}: shape {shape} with {values.size} "

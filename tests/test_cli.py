@@ -2,6 +2,10 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
 from darter.model import JointModel, ModelConfig
 from darter.training import TrainingDiverged, load_checkpoint, save_checkpoint
 
+ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = LabelSchema(("per", "org"), ("works",))
 
 
@@ -595,3 +600,117 @@ def test_non_utf8_checkpoint_is_exit_2(tmp_path, capsys):
                          test_corpus="dev.jsonl", report="report.json")
     assert main(["eval", "--config", config]) == 2
     assert "model.json: not UTF-8 text" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# run-config errors name the file; each command takes only its own flags
+
+@pytest.mark.parametrize("entries,message", [
+    ([1, 2], "expected a JSON object"),
+    ({"schema": 5}, "schema must be a path string"),
+    ({"train": [1]}, "train must be an object"),
+])
+def test_malformed_run_config_names_the_file(tmp_path, capsys, entries,
+                                             message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,over,message", [
+    ("train", {"train": {"lr": "x"}},
+     "train: lr must be a number, got 'x'"),
+    ("train", {"model": {"d_pp": 3}}, "unknown model keys ['d_pp']"),
+    ("train", {"loss": {"gama": 1.0}}, "unknown loss keys ['gama']"),
+    ("train", {"model": {"match_mode": "head"}}, "model: unknown match mode"),
+    ("gridsearch", {"dev_corpus": "dev.jsonl", "grid_results": "grid.json",
+                    "grid": {"alpha": [1.0]}}, "unknown grid keys ['alpha']"),
+    ("gridsearch", {"dev_corpus": "dev.jsonl", "grid_results": "grid.json",
+                    "grid": {"gammas": [2.0]}},
+     "grid: grid.gammas must be a non-empty subset"),
+])
+def test_section_errors_name_the_config_and_the_section(tmp_path, capsys,
+                                                        command, over,
+                                                        message):
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(**over))
+    assert main([command, "--config", config]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+
+
+def test_missing_required_key_names_the_config(tmp_path, capsys):
+    setup_tree(tmp_path)
+    entries = train_entries()
+    del entries["train_corpus"]
+    config = config_file(tmp_path, **entries)
+    assert main(["train", "--config", config]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {config}: missing required key 'train_corpus'\n"
+
+
+def test_eval_schema_mismatch_names_both_files(tmp_path, capsys):
+    trained_model_path(tmp_path, epochs=1)
+    LabelSchema(("thing",), ("links",)).save(tmp_path / "other_schema.json")
+    config = config_file(tmp_path, name="eval.json",
+                         checkpoint="model.json", schema="other_schema.json",
+                         test_corpus="train.jsonl", report="report.json")
+    assert main(["eval", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'other_schema.json'}: schema file" in err
+    assert str(tmp_path / "model.json") in err
+
+
+def test_gridsearch_empty_dev_corpus_names_the_file(tmp_path, capsys):
+    setup_tree(tmp_path)
+    save_corpus(tmp_path / "empty.jsonl", [])
+    config = config_file(tmp_path, **train_entries(
+        dev_corpus="empty.jsonl", grid_results="grid.json"))
+    assert main(["gridsearch", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'empty.jsonl'}: gridsearch needs a non-empty" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("eval", ["--seed", "3"]),
+    ("eval", ["--layers", "7"]),
+    ("eval", ["--variant", "bidarter"]),
+    ("eval", ["--no-interaction"]),
+    ("eval", ["--no-entity-features-in-re"]),
+    ("predict", ["--match", "tail"]),
+    ("predict", ["--seed", "9"]),
+])
+def test_a_flag_the_command_would_ignore_is_exit_2(tmp_path, capsys,
+                                                     command, flags):
+    _zero_checkpoint(tmp_path)
+    config = config_file(tmp_path, checkpoint="zero.json",
+                         test_corpus="dev.jsonl", input_corpus="dev.jsonl",
+                         report="report.json", predictions="pred.jsonl")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", config, *flags])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--config", "--seed", "--variant", "--layers",
+               "--no-interaction", "--no-entity-features-in-re", "--match",
+               "--out"]),
+    ("gridsearch", ["--config", "--seed", "--variant", "--layers",
+                    "--no-interaction", "--no-entity-features-in-re",
+                    "--match", "--out"]),
+    ("eval", ["--config", "--match", "--out"]),
+    ("predict", ["--config", "--out"]),
+])
+def test_module_help_lists_exactly_the_command_flags(command, flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "darter", command, "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    options = done.stdout.split("options:")[1]
+    listed = re.findall(r"--[\w-]+", options)
+    assert listed == ["--help", *flags]

@@ -71,6 +71,12 @@ def test_bce_rejects_non_binary_gold():
         bce_sum(probs, np.zeros((2, 1, 1)))
 
 
+def test_bce_rejects_a_mask_of_the_wrong_shape():
+    probs = constant(np.full((2, 2, 1), 0.5))
+    with pytest.raises(ContractError, match=r"mask shape \(2, 2\) != probs"):
+        bce_sum(probs, np.zeros((2, 2, 1)), np.ones((2, 2)))
+
+
 def test_bce_clamp_keeps_saturated_probabilities_finite():
     probs = constant(np.array([[0.0, 1.0]]))
     value = bce_sum(probs, np.array([[1.0, 0.0]]), eps=1e-7).item()
