@@ -427,6 +427,22 @@ def sum_all(a: Tensor) -> Tensor:
 _workspaces = threading.local()
 
 
+def _aligned(size: int) -> np.ndarray:
+    """An uninitialised float64 vector of `size` that starts on a 64-byte
+    boundary, at the cost of at most 7 doubles of padding: the kernels
+    stream their workspaces and scratch with vector loads, and one that
+    starts mid-line splits every cache line it reads."""
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + size]
+
+
+def _lines(size: int) -> int:
+    """`size` doubles rounded up to whole 64-byte lines, so that a view
+    that follows them in an aligned buffer starts on a boundary too."""
+    return -(-size // 8) * 8
+
+
 def _workspace(name: str, build: Callable, *shape):
     """This thread's build(*shape), made again when the shape changes."""
     ws = getattr(_workspaces, name, None)
@@ -437,10 +453,11 @@ def _workspace(name: str, build: Callable, *shape):
 
 
 def scratch(name: str, size: int) -> np.ndarray:
-    """This thread's grow-only scratch `name`, `size` long, for one call."""
+    """This thread's grow-only scratch `name`, `size` long, for one call;
+    it starts on a 64-byte boundary."""
     buf = getattr(_workspaces, name, None)
     if buf is None or buf.size < size:
-        buf = np.empty(size)
+        buf = _aligned(size)
         setattr(_workspaces, name, buf)
     return buf[:size]
 
@@ -451,23 +468,34 @@ def _dam_pack(n: int, d: int, transposed: bool) -> Callable:
     once, and return the step matrix [n*d, 2*n*d] (or its C-contiguous
     transpose), the w_a matrix [n*d, n*d] and the gate eye(n) + mix. Step
     matrix rows are (stream m, unit i), columns (group s, stream k, unit
-    j): group 0 gives f + inter, group 1 the candidate's argument."""
+    j): group 0 gives f + inter, group 1 the candidate's argument. Both
+    matrices start on 64-byte boundaries."""
     width = n * d
-    buf = np.zeros(3 * width * width)
+    at_ab = _lines(2 * width * width)
+    buf = _aligned(at_ab + width * width)
+    buf.fill(0.0)
     step = buf[:2 * width * width].reshape(
         (2 * width, width) if transposed else (width, 2 * width))
-    w_ab = buf[2 * width * width:].reshape(width, width)
-    blocks = (step.reshape(2, n, d, n, d).transpose(3, 4, 0, 1, 2)
-              if transposed else step.reshape(n, d, 2, n, d))  # [m, i, s, k, j]
-    f_blocks = blocks[:, :, 0]
-    c_diag = np.einsum("mimj->mij", blocks[:, :, 1])
+    w_ab = buf[at_ab:].reshape(width, width)
+    if transposed:
+        f_blocks, c_blocks = step.reshape(2, n, d, n, d)   # [k, j, m, i]
+        c_diag = np.einsum("mjmi->mij", c_blocks)
+    else:
+        blocks = step.reshape(n, d, 2, n, d)               # [m, i, s, k, j]
+        f_blocks = blocks[:, :, 0]
+        c_diag = np.einsum("mimj->mij", blocks[:, :, 1])
     a_diag = np.einsum("mimj->mij", w_ab.reshape(n, d, n, d))
     eye = np.eye(n)
 
     def pack(mix, w_f, w_c, w_a):
         gate = eye if mix is None else eye + mix     # f + inter = gate @ f
-        np.multiply(gate.T[:, None, :, None], w_f[:, :, None, :],
-                    out=f_blocks)
+        # block (m, k) is gate[k, m] * w_f[m], written in memory order
+        if transposed:
+            np.multiply(gate[:, None, :, None], w_f.transpose(2, 0, 1),
+                        out=f_blocks)
+        else:
+            np.multiply(gate.T[:, None, :, None], w_f[:, :, None, :],
+                        out=f_blocks)
         np.copyto(c_diag, w_c)
         np.copyto(a_diag, w_a)
         return step, w_ab, gate
@@ -632,11 +660,16 @@ def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
                 lo: int, hi: int, streamed: bool = False) -> np.ndarray:
     """Pair rows lo:hi of a head's hidden table,
     ELU((scaled[i, 0] + scaled[j, 1]) * inv[i, j] + bias), [hi - lo, t, d],
-    new (any leading head axis kept) or, if streamed, in `scratch`."""
+    new (any leading head axis kept) or, if streamed, in `scratch`, with
+    its ELU work half on a 64-byte boundary too."""
     out = work = None
     if streamed:
         shape = (hi - lo, *scaled.shape[::2])
-        out, work = scratch("pair", 2 * math.prod(shape)).reshape(2, *shape)
+        size = math.prod(shape)
+        half = _lines(size)
+        buf = scratch("pair", 2 * half)
+        out = buf[:size].reshape(shape)
+        work = buf[half:half + size].reshape(shape)
     block = np.add(scaled[..., lo:hi, None, 0, :], scaled[..., None, :, 1, :],
                    out=out)
     block *= inv[..., lo:hi, :, :]

@@ -21,7 +21,8 @@ from .corpus import (CorpusError, Entity, InputError, LabelSchema,
                      read_json, relation_anchor, save_corpus, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
-from .model import ConfigError, JointModel, ModelConfig, VARIANTS
+from .model import (ConfigError, JointModel, ModelConfig, VARIANTS,
+                    check_size)
 from .training import (GAMMA_DELTA_GRID, LossWeights, TrainConfig,
                        TrainingDiverged, checked, grid_search,
                        load_checkpoint, save_checkpoint, save_history, train)
@@ -31,17 +32,20 @@ __all__ = ["build_parser", "main"]
 _PATH_KEYS = ("schema", "train_corpus", "dev_corpus", "test_corpus",
               "input_corpus", "checkpoint", "history", "report",
               "predictions", "grid_results")
-_SECTION_KEYS = ("model", "train", "loss", "grid")
 # the keys of the grid section, each with the full grid it may narrow
 _GRIDS = {"alphas": ALPHA_BETA_GRID, "betas": ALPHA_BETA_GRID,
           "gammas": GAMMA_DELTA_GRID, "deltas": GAMMA_DELTA_GRID}
+# each section with the keys it may hold, checked by every command
+_SECTIONS = {"model": ModelConfig.__dataclass_fields__,
+             "train": TrainConfig.__dataclass_fields__,
+             "loss": LossWeights.__dataclass_fields__, "grid": _GRIDS}
 
 
 def _load_run_config(path) -> dict:
     run = read_json(path, ConfigError)
     if not isinstance(run, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    unknown = set(run) - set(_PATH_KEYS) - set(_SECTION_KEYS)
+    unknown = set(run) - set(_PATH_KEYS) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     base = Path(path).parent
@@ -50,9 +54,14 @@ def _load_run_config(path) -> dict:
             if not isinstance(run[key], str):
                 raise ConfigError(f"{path}: {key} must be a path string")
             run[key] = str(base / run[key])
-    for key in _SECTION_KEYS:
-        if key in run and not isinstance(run[key], dict):
+    for key, known in _SECTIONS.items():
+        if key not in run:
+            continue
+        if not isinstance(run[key], dict):
             raise ConfigError(f"{path}: {key} must be an object")
+        unknown = set(run[key]) - set(known)
+        if unknown:
+            raise ConfigError(f"{path}: unknown {key} keys {sorted(unknown)}")
     return run
 
 
@@ -66,15 +75,11 @@ def _output_path(args, run: dict, key: str) -> str:
     return args.out or _require(args, run, key)
 
 
-def _section(args, run: dict, key: str, make, known, **flags):
-    """make(**section) for the run config's `key` section, which may hold
-    only `known` keys, with the flags that were given set over it. Every
-    error names the config file and the section."""
+def _section(args, run: dict, key: str, make, **flags):
+    """make(**section) for the run config's `key` section, with the flags
+    that were given set over it. Every error names the config file and the
+    section."""
     section = dict(run.get(key, {}))
-    unknown = set(section) - set(known)
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown {key} keys "
-                          f"{sorted(unknown)}")
     section.update((k, v) for k, v in flags.items() if v is not None)
     return checked(f"{args.config}: {key}", make, **section)
 
@@ -84,16 +89,14 @@ def _model_config(args, run: dict) -> ModelConfig:
         if args.variant and args.layers is None:
             section["n_layers"] = None  # the variant's own depth
         return ModelConfig.from_json(section)
-    return _section(args, run, "model", make, ModelConfig.__dataclass_fields__,
-                    variant=args.variant, n_layers=args.layers,
-                    interaction=args.interaction,
+    return _section(args, run, "model", make, variant=args.variant,
+                    n_layers=args.layers, interaction=args.interaction,
                     entity_features_in_re=args.entity_features_in_re,
                     match_mode=args.match, seed=args.seed)
 
 
 def _train_config(args, run: dict) -> TrainConfig:
-    return _section(args, run, "train", TrainConfig,
-                    TrainConfig.__dataclass_fields__, seed=args.seed)
+    return _section(args, run, "train", TrainConfig, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +106,13 @@ def _train_config(args, run: dict) -> TrainConfig:
 def cmd_train(args, run: dict) -> int:
     model_config = _model_config(args, run)
     train_config = _train_config(args, run)
-    weights = _section(args, run, "loss", LossWeights,
-                       LossWeights.__dataclass_fields__)
+    weights = _section(args, run, "loss", LossWeights)
     schema = LabelSchema.load(_require(args, run, "schema"))
     corpus = load_corpus(_require(args, run, "train_corpus"), schema,
                          model_config.match_mode)
     vocab = Vocabulary.from_corpus(corpus)
-    model = JointModel(model_config, schema, vocab)
+    model = checked(f"{args.config}: model", JointModel, model_config, schema,
+                    vocab)
     history = train(model, corpus, train_config, weights)
     checkpoint_path = _output_path(args, run, "checkpoint")
     # the history first, so that a failed write leaves the old checkpoint
@@ -194,7 +197,7 @@ def _grids(**section) -> dict:
 def cmd_gridsearch(args, run: dict) -> int:
     model_config = _model_config(args, run)
     train_config = _train_config(args, run)
-    grids = _section(args, run, "grid", _grids, _GRIDS)
+    grids = _section(args, run, "grid", _grids)
     schema = LabelSchema.load(_require(args, run, "schema"))
     train_corpus = load_corpus(_require(args, run, "train_corpus"), schema,
                                model_config.match_mode)
@@ -204,6 +207,7 @@ def cmd_gridsearch(args, run: dict) -> int:
         raise ConfigError(f"{run['dev_corpus']}: gridsearch needs a "
                           "non-empty dev corpus")
     vocab = Vocabulary.from_corpus(train_corpus)
+    checked(f"{args.config}: model", check_size, model_config, schema, vocab)
     result = grid_search(model_config, schema, vocab, train_corpus,
                          dev_corpus, train_config, **grids)
     out_path = _output_path(args, run, "grid_results")

@@ -20,11 +20,14 @@ from .decoders import (ALPHA_BETA_GRID, DecoderParams, EntityLogits,
                        threshold_predictions)
 from .encoder import DamParams, encode_stacked
 
-__all__ = ["ConfigError", "JointModel", "ModelConfig", "ModelForward",
-           "VARIANTS"]
+__all__ = ["ConfigError", "JointModel", "MAX_PARAMETERS", "ModelConfig",
+           "ModelForward", "VARIANTS", "check_size"]
 
 VARIANTS = ("darter", "bidarter")
 _LAYERS_BY_VARIANT = {"darter": 1, "bidarter": 2}
+# The most parameters a model may have: 800 MB of float64, and training
+# holds several vectors that size (the gradient and Adam's moments).
+MAX_PARAMETERS = 10 ** 8
 
 
 class ConfigError(ValueError):
@@ -111,6 +114,26 @@ class ModelConfig:
         return cls(**values)
 
 
+def check_size(config: ModelConfig, schema: LabelSchema,
+               vocab: Vocabulary) -> int:
+    """The exact number of parameters JointModel(config, schema, vocab)
+    registers, computed before anything is allocated; a ConfigError naming
+    the model fields if it is above MAX_PARAMETERS."""
+    d_p, d_h, layers = config.d_p, config.d_h, config.n_layers
+    # per layer: w_z [3, d_in, d_h], w_f, w_c, w_a [3, d_h, d_h] and four
+    # [3, 1, d_h] biases; per head: w_pair [2 * layers * d_h, d_h], three
+    # [d_h] vectors, w_out [d_h, width] and b_out [width]
+    count = (vocab.size * d_p + 3 * d_h * (d_p + (layers - 1) * d_h)
+             + layers * (9 * d_h * d_h + 12 * d_h)
+             + sum(2 * layers * d_h * d_h + 3 * d_h + (d_h + 1) * width
+                   for width in (schema.u, schema.v)))
+    if count > MAX_PARAMETERS:
+        raise ConfigError(f"d_p = {d_p}, d_h = {d_h} and n_layers = {layers} "
+                          f"give {count} parameters over {vocab.size} "
+                          f"tokens, more than the limit of {MAX_PARAMETERS}")
+    return count
+
+
 @dataclass
 class ModelForward:
     entities: EntityLogits
@@ -124,6 +147,7 @@ class JointModel:
 
     def __init__(self, config: ModelConfig, schema: LabelSchema,
                  vocab: Vocabulary):
+        check_size(config, schema, vocab)
         self.config = config
         self.schema = schema
         self.vocab = vocab

@@ -354,7 +354,7 @@ def load_checkpoint(path) -> JointModel:
     config = checked(f"{path}: config", ModelConfig.from_json, config)
     schema = checked(f"{path}: schema", LabelSchema.from_json, schema)
     vocab = checked(f"{path}: vocab", Vocabulary, vocab)
-    model = JointModel(config, schema, vocab)
+    model = checked(f"{path}: config", JointModel, config, schema, vocab)
     if not isinstance(saved, dict) or set(saved) != set(model.store.names()):
         raise ConfigError(f"{path}: checkpoint parameters do not match the "
                           f"configured architecture")

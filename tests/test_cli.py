@@ -639,6 +639,47 @@ def test_section_errors_name_the_config_and_the_section(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
 
 
+@pytest.mark.parametrize("section,message", [
+    ({"train": {"lrr": 1}}, "unknown train keys ['lrr']"),
+    ({"model": {"d_pp": 1}}, "unknown model keys ['d_pp']"),
+])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_every_command_checks_every_present_section(tmp_path, capsys,
+                                                    command, section,
+                                                    message):
+    """A misspelt key in a config that all four commands share stops eval
+    and predict too, though neither reads the section."""
+    _zero_checkpoint(tmp_path)
+    config = config_file(tmp_path, checkpoint="zero.json",
+                         test_corpus="dev.jsonl", input_corpus="dev.jsonl",
+                         report="report.json", predictions="pred.jsonl",
+                         **section)
+    assert main([command, "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+@pytest.mark.parametrize("field,value", [("d_p", 10 ** 30),
+                                         ("n_layers", 10 ** 20)])
+def test_a_model_too_large_to_build_is_exit_2(tmp_path, capsys, command,
+                                              field, value):
+    """The parameter count is checked before anything is allocated: d_p =
+    10^30 used to escape as numpy's ValueError, and n_layers = 10^20 to
+    register layers until killed."""
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        model={"d_p": 8, "d_h": 8, "seed": 3, field: value},
+        dev_corpus="dev.jsonl", grid_results="grid.json"))
+    assert main([command, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: model: d_p = ")
+    assert f"{field} = {value}" in err and "more than the limit" in err
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "grid.json").exists()
+
+
 def test_missing_required_key_names_the_config(tmp_path, capsys):
     setup_tree(tmp_path)
     entries = train_entries()

@@ -15,7 +15,8 @@ import darter.autodiff as ad
 from darter.autodiff import Record, constant
 from darter.corpus import LabelSchema, MatchMode, Vocabulary
 from darter.gradcheck import max_relative_error, numeric_gradients
-from darter.model import ConfigError, JointModel, ModelConfig
+from darter.model import (MAX_PARAMETERS, ConfigError, JointModel,
+                          ModelConfig, check_size)
 
 SCHEMA = LabelSchema(("per", "org"), ("works",))
 VOCAB = Vocabulary(("ada", "built", "acme", "mill"))
@@ -88,6 +89,24 @@ def test_bidirectional_registry_widens_heads():
     assert model.store["ner.w_pair"].shape == (4 * 4, 4)
     assert model.store["dam0.w_z"].shape == (3, 3, 4)
     assert model.store["dam1.w_z"].shape == (3, 4, 4)
+
+
+@pytest.mark.parametrize("over", [{}, dict(variant="bidarter"),
+                                  dict(n_layers=3, d_p=5, d_h=2)])
+def test_check_size_counts_the_registered_parameters(over):
+    model = JointModel(tiny_config(**over), SCHEMA, VOCAB)
+    assert check_size(model.config, SCHEMA, VOCAB) == \
+        model.store.n_components()
+
+
+@pytest.mark.parametrize("field,value", [("d_p", 10 ** 30),
+                                         ("n_layers", 10 ** 20)])
+def test_a_model_above_the_size_limit_is_refused_before_allocating(
+        field, value):
+    with pytest.raises(ConfigError, match=f"{field} = {value}\\b.* more "
+                                          f"than the limit of "
+                                          f"{MAX_PARAMETERS}"):
+        JointModel(tiny_config(**{field: value}), SCHEMA, VOCAB)
 
 
 def test_same_seed_same_parameters():

@@ -1,7 +1,8 @@
 """The fused pair-scoring head against a two-pass numpy reference, its
 cancellation case and gradients, its table streamed in blocks of pair rows,
-and the shared pointwise helpers."""
+the shared pointwise helpers, and where the kernels' reused buffers start."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 import darter.autodiff as ad
 from darter.autodiff import ParamStore, Record, constant
+from darter.corpus import LabelSchema, Vocabulary
 from darter.decoders import DecoderParams
 from darter.gradcheck import max_relative_error, numeric_gradients
+from darter.model import JointModel, ModelConfig
 
 from composed import R_ONLY, r_slot
 
@@ -389,3 +392,80 @@ def test_bce_rejects_non_binary_gold():
     gold = np.zeros((2, 2, 1))
     gold[0, 1, 0] = 1.0
     assert np.isfinite(ad.bce(probs, gold, 1e-7).item())
+
+
+# ---------------------------------------------------------------------------
+# the kernels' reused buffers start on 64-byte boundaries
+
+@pytest.mark.parametrize("d", [3, 32])
+def test_reused_buffers_start_on_cache_lines(monkeypatch, d):
+    """scratch, both dam workspaces (w_ab too, after an odd d's step matrix)
+    and a streamed pair block with its ELU work half (15 doubles at d = 3)
+    start on 64-byte boundaries."""
+    monkeypatch.setattr(ad, "_workspaces", threading.local())
+    for size in (1, 13, 1000):
+        assert ad.scratch(f"test{size}", size).ctypes.data % 64 == 0
+    rng = np.random.default_rng(d)
+    weights = [rng.standard_normal((3, d, d)) for _ in range(3)]
+    for transposed in (False, True):
+        step, w_ab, _ = ad._dam_pack(3, d, transposed)(None, *weights)
+        assert (step.ctypes.data % 64, w_ab.ctypes.data % 64) == (0, 0)
+    starts = []
+    elu = ad._elu
+
+    def watched_elu(av, out=None, work=None):
+        starts.append((out.ctypes.data % 64, work.ctypes.data % 64))
+        return elu(av, out, work)
+
+    monkeypatch.setattr(ad, "_elu", watched_elu)
+    t = 5
+    scaled = rng.standard_normal((t, 2, d))
+    inv = rng.uniform(0.5, 1.5, (t, t, 1))
+    for lo, hi in ((0, 1), (1, 3), (3, 5)):
+        ad._pair_block(scaled, inv, rng.standard_normal(d), lo, hi,
+                       streamed=True)
+    assert starts == [(0, 0)] * 3
+
+
+def _allocate_at(offset):
+    """An allocator whose buffers start `offset` bytes past a 64-byte
+    boundary."""
+    def allocate(size):
+        raw = np.empty(size + 8)
+        skip = (offset - raw.ctypes.data) % 64 // 8
+        return raw[skip:skip + size]
+    return allocate
+
+
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+def test_buffer_placement_never_changes_bits(monkeypatch, variant):
+    """With every reused buffer moved to 16 or 48 bytes past a boundary,
+    probabilities at t = 5 and at t = 50 (whose pair tables stream at
+    d_h = 32) and a recorded backward's gradients keep their bytes."""
+    vocab = Vocabulary(tuple(f"w{k}" for k in range(12)))
+    model = JointModel(ModelConfig(variant=variant, d_p=32, d_h=32, seed=4),
+                       LabelSchema(("per", "org"), ("works",)), vocab)
+    rng = np.random.default_rng(8)
+    sentences = [rng.integers(0, vocab.size, t) for t in (5, 50)]
+
+    def outputs():
+        monkeypatch.setattr(ad, "_workspaces", threading.local())
+        out = []
+        for ids in sentences:
+            forward = model.forward(ids, recording=False)
+            out += [forward.entities.probs.values.tobytes(),
+                    forward.relations.probs.values.tobytes()]
+        forward = model.forward(sentences[1])
+        weights = np.random.default_rng(9)
+        loss = ad.add(*(ad.sum_all(ad.mul(probs, constant(
+            weights.uniform(size=probs.shape))))
+            for probs in (forward.entities.probs, forward.relations.probs)))
+        grads = forward.record.backward(loss)
+        return out + [grads[leaf.node_id].tobytes()
+                      for leaf in forward.bound.values()]
+
+    aligned = outputs()
+    for offset in (16, 48):
+        monkeypatch.setattr(ad, "_aligned", _allocate_at(offset))
+        assert outputs() == aligned
+        assert ad._workspaces.pair.ctypes.data % 64 == offset

@@ -433,6 +433,16 @@ def test_checkpoint_bad_vocab_or_schema_is_config_error(tmp_path, key, value):
         load_checkpoint(path)
 
 
+def test_checkpoint_of_a_model_above_the_size_limit_is_config_error(
+        tmp_path):
+    path, obj = _saved_checkpoint(tmp_path)
+    obj["config"]["d_p"] = 10 ** 30
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(
+            "model.json: config: d_p = 1" + "0" * 30)):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("field", ["shape", "data"])
 def test_checkpoint_parameter_missing_field_is_config_error(tmp_path, field):
     path, obj = _saved_checkpoint(tmp_path)
