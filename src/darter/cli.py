@@ -55,11 +55,10 @@ def _load_run_config(path) -> dict:
                 raise ConfigError(f"{path}: {key} must be a path string")
             run[key] = str(base / run[key])
     for key, known in _SECTIONS.items():
-        if key not in run:
-            continue
-        if not isinstance(run[key], dict):
+        section = run.get(key, {})
+        if not isinstance(section, dict):
             raise ConfigError(f"{path}: {key} must be an object")
-        unknown = set(run[key]) - set(known)
+        unknown = set(section) - set(known)
         if unknown:
             raise ConfigError(f"{path}: unknown {key} keys {sorted(unknown)}")
     return run

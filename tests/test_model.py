@@ -15,8 +15,7 @@ import darter.autodiff as ad
 from darter.autodiff import Record, constant
 from darter.corpus import LabelSchema, MatchMode, Vocabulary
 from darter.gradcheck import max_relative_error, numeric_gradients
-from darter.model import (MAX_PARAMETERS, ConfigError, JointModel,
-                          ModelConfig, check_size)
+from darter.model import ConfigError, JointModel, ModelConfig, check_size
 
 SCHEMA = LabelSchema(("per", "org"), ("works",))
 VOCAB = Vocabulary(("ada", "built", "acme", "mill"))
@@ -97,16 +96,6 @@ def test_check_size_counts_the_registered_parameters(over):
     model = JointModel(tiny_config(**over), SCHEMA, VOCAB)
     assert check_size(model.config, SCHEMA, VOCAB) == \
         model.store.n_components()
-
-
-@pytest.mark.parametrize("field,value", [("d_p", 10 ** 30),
-                                         ("n_layers", 10 ** 20)])
-def test_a_model_above_the_size_limit_is_refused_before_allocating(
-        field, value):
-    with pytest.raises(ConfigError, match=f"{field} = {value}\\b.* more "
-                                          f"than the limit of "
-                                          f"{MAX_PARAMETERS}"):
-        JointModel(tiny_config(**{field: value}), SCHEMA, VOCAB)
 
 
 def test_same_seed_same_parameters():
