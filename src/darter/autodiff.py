@@ -5,6 +5,10 @@ node id on a Record. Operations append nodes as they execute, so the graph is
 rebuilt from scratch on every forward pass; Record.backward walks the node list
 in reverse and accumulates gradients per node id. Forward functions never
 mutate their inputs.
+
+darter records only `take`, `add` and the fused kernels `dam_sequence`,
+`pair_heads` and `bce`; the generic operations they are checked against
+live with the composed reference in `tests/ops.py`.
 """
 
 from __future__ import annotations
@@ -133,75 +137,15 @@ def _emit(tag: str, inputs: tuple[Tensor, ...], values: np.ndarray,
     return Tensor(values, rec, nid)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcasted gradient back down to `shape`."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
-# linear algebra
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ShapeError(f"matmul needs matrices, got {av.shape} @ {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
-    out = np.matmul(av, bv)
-    need_a, need_b = a.node_id is not None, b.node_id is not None
-
-    def backward(g):
-        ga = gb = None
-        if need_a:
-            ga = _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
-        if need_b:
-            gb = _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
-        return ga, gb
-
-    return _emit("matmul", (a, b), out, backward)
-
-
-def _elementwise(tag, a, b, fwd, bwd_a, bwd_b):
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"{tag} requires identical shapes, got {a.values.shape} "
-                         f"and {b.values.shape}")
-    out = fwd(a.values, b.values)
-
-    def backward(g):
-        return bwd_a(g), bwd_b(g)
-
-    return _emit(tag, (a, b), out, backward)
-
+# the operations beside the fused kernels; nothing in darter records
+# affine_const (a benchmark test scales a loss through it)
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("add", a, b, np.add, lambda g: g, lambda g: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("sub", a, b, np.subtract, lambda g: g, lambda g: -g)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    return _elementwise("mul", a, b, np.multiply,
-                        lambda g: g * bv, lambda g: g * av)
-
-
-def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
-    """Addition with numpy broadcasting; used for bias terms."""
-    out = a.values + b.values
-    ash, bsh = a.values.shape, b.values.shape
-
-    def backward(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
-
-    return _emit("badd", (a, b), out, backward)
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"add requires identical shapes, got {a.values.shape} "
+                         f"and {b.values.shape}")
+    return _emit("add", (a, b), a.values + b.values, lambda g: (g, g))
 
 
 def affine_const(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
@@ -214,13 +158,49 @@ def affine_const(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     return _emit("affine_const", (a,), out, backward)
 
 
+def take(a: Tensor, indices, axis: int = 0) -> Tensor:
+    """Gather slices along an axis; backward scatter-adds (duplicates sum)."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"take indices must be 1-d, got shape {idx.shape}")
+    av = a.values
+    if axis < 0 or axis >= av.ndim:
+        raise ShapeError(f"take axis {axis} out of range for shape {av.shape}")
+    # as unsigned, negative indices wrap to huge ones: one bound covers both
+    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= av.shape[axis]:
+        raise ContractError(f"take index out of range for axis {axis} of "
+                            f"shape {av.shape}")
+    ash = av.shape
+    where = (slice(None),) * axis + (idx,)
+    out = av[where]
+
+    def backward(g):
+        ga = np.zeros(ash, dtype=np.float64)
+        np.add.at(ga, where, g)
+        return (ga,)
+
+    return _emit("take", (a,), out, backward)
+
+
+def index(a: Tensor, key) -> Tensor:
+    """Basic indexing by integers and slices, as `a.values[key]`; the
+    result is a view. Backward writes the gradient into a zero array."""
+    ash = a.values.shape
+    try:
+        out = a.values[key]
+    except IndexError as e:
+        raise ShapeError(f"index {key!r} into shape {ash}: {e}") from None
+
+    def backward(g):
+        ga = np.zeros(ash, dtype=np.float64)
+        ga[key] = g
+        return (ga,)
+
+    return _emit("index", (a,), out, backward)
+
+
 # ---------------------------------------------------------------------------
-# activations and pointwise functions
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.values)
-    return _emit("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
-
+# pointwise helpers of the fused kernels
 
 def _sigmoid(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-av)) with the argument clamped at -709, where exp
@@ -230,11 +210,6 @@ def _sigmoid(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.values)
-    return _emit("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
 def _elu(av: np.ndarray, out: np.ndarray | None = None,
@@ -251,47 +226,6 @@ def _elu_slope(out: np.ndarray) -> np.ndarray:
     """ELU's derivative from its output, positive exactly where its input
     is."""
     return np.where(out > 0, 1.0, out + 1.0)
-
-
-def elu(a: Tensor) -> Tensor:
-    """Exponential linear unit with negative-branch coefficient 1."""
-    out = _elu(a.values)
-    return _emit("elu", (a,), out, lambda g: (g * _elu_slope(out),))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0.0):
-        raise ContractError("log requires strictly positive values")
-    av = a.values
-    out = np.log(av)
-    return _emit("log", (a,), out, lambda g: (g / av,))
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    if not lo < hi:
-        raise ContractError(f"clamp bounds must satisfy lo < hi, got {lo}, {hi}")
-    av = a.values
-    out = np.clip(av, lo, hi)
-    inside = (av >= lo) & (av <= hi)
-    return _emit("clamp", (a,), out, lambda g: (g * inside,))
-
-
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    av = a.values
-    h = av.shape[-1] if av.ndim else 0
-    if h < 2:
-        raise ShapeError(f"layer_norm needs a last dimension >= 2, got shape {av.shape}")
-    if gain.values.shape != (h,) or bias.values.shape != (h,):
-        raise ShapeError(f"layer_norm gain/bias must have shape ({h},), got "
-                         f"{gain.values.shape} and {bias.values.shape}")
-    gv = gain.values
-    centered = av - _row_mean(av)
-    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
-    xhat = centered * inv
-    out = xhat * gv + bias.values
-    return _emit("layer_norm", (a, gain, bias), out,
-                 lambda g: _layer_norm_backward(g, xhat, inv, gv))
 
 
 def _row_mean(av: np.ndarray) -> np.ndarray:
@@ -337,86 +271,6 @@ def _layer_norm_backward(g, xhat, inv, gv):
     gx = g * gv
     dx = inv * (gx - _row_mean(gx) - xhat * _row_mean(gx * xhat))
     return dx, dgain, dbias
-
-
-# ---------------------------------------------------------------------------
-# structure
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ContractError("concat of zero tensors")
-    ndim = parts[0].values.ndim
-    for p in parts[1:]:
-        if p.values.ndim != ndim:
-            raise ShapeError(f"concat rank mismatch: {parts[0].values.shape} "
-                             f"vs {p.values.shape}")
-    try:
-        out = np.concatenate([p.values for p in parts], axis=axis)
-    except ValueError as e:
-        raise ShapeError(f"concat: {e}") from None
-    offsets = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _emit("concat", tuple(parts), out, backward)
-
-
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along an axis; backward scatter-adds (duplicates sum)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take indices must be 1-d, got shape {idx.shape}")
-    av = a.values
-    if axis < 0 or axis >= av.ndim:
-        raise ShapeError(f"take axis {axis} out of range for shape {av.shape}")
-    # as unsigned, negative indices wrap to huge ones: one bound covers both
-    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= av.shape[axis]:
-        raise ContractError(f"take index out of range for axis {axis} of "
-                            f"shape {av.shape}")
-    ash = av.shape
-    where = (slice(None),) * axis + (idx,)
-    out = av[where]
-
-    def backward(g):
-        ga = np.zeros(ash, dtype=np.float64)
-        np.add.at(ga, where, g)
-        return (ga,)
-
-    return _emit("take", (a,), out, backward)
-
-
-def index(a: Tensor, key) -> Tensor:
-    """Basic indexing by integers and slices, as `a.values[key]`; the
-    result is a view. Backward writes the gradient into a zero array."""
-    ash = a.values.shape
-    try:
-        out = a.values[key]
-    except IndexError as e:
-        raise ShapeError(f"index {key!r} into shape {ash}: {e}") from None
-
-    def backward(g):
-        ga = np.zeros(ash, dtype=np.float64)
-        ga[key] = g
-        return (ga,)
-
-    return _emit("index", (a,), out, backward)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.values.shape
-    try:
-        out = a.values.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"cannot reshape {old} to {shape}") from None
-    return _emit("reshape", (a,), out, lambda g: (g.reshape(old),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum every element into a scalar (shape ())."""
-    ash = a.values.shape
-    out = np.asarray(a.values.sum(), dtype=np.float64)
-    return _emit("sum", (a,), out, lambda g: (g * np.ones(ash),))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +505,7 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
     return node, {"z": z, "ctil": ctil_all, "a": a_all, "c": c_all}
 
 
-# Pair-table elements pair_scores holds at once per head: 256 kB of float64
+# Pair-table elements pair_heads holds at once per head: 256 kB of float64
 # per buffer, so a block and its ELU temporary stay in a core's L2 cache.
 _PAIR_BLOCK = 2 ** 15
 
@@ -677,7 +531,7 @@ def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
     return _elu(block, out=block, work=work)
 
 
-# pair_scores mixes a layer's streams h_0, h_1, h_2 into
+# pair_heads mixes a layer's streams h_0, h_1, h_2 into
 # c_1 * h_1 + (c_2 * h_2 + c_0 * h_0), terms with a zero coefficient left
 # out: with streams (s, r, o) that is s + o for (1, 0, 1) and
 # r + (o * alpha - s * beta) for (-beta, 1, alpha), summed in the order
@@ -697,15 +551,6 @@ def _mix_streams(h: np.ndarray, terms, out: np.ndarray) -> None:
         out[...] = parts[0]
     else:
         out.fill(0.0)
-
-
-def pair_scores(layers: Sequence[Tensor], coeffs: Sequence[float],
-                w_pair: Tensor, b_pair: Tensor, gain: Tensor, bias: Tensor,
-                w_out: Tensor, b_out: Tensor, eps: float = 1e-5) -> Tensor:
-    """One pair-scoring head as one node: [t, t, width] probabilities, the
-    one-head case of `pair_heads`."""
-    return pair_heads(layers, [(coeffs, w_pair, b_pair, gain, bias, w_out,
-                                b_out)], eps)[0]
 
 
 def pair_heads(layers: Sequence[Tensor], heads: Sequence[tuple],
@@ -846,7 +691,7 @@ def bce(probs: Tensor, gold: np.ndarray, eps: float,
 
     gold and mask are float arrays of probs' shape, gold binary (else a
     ContractError). Each cell takes one log, of p where gold is 1 and of
-    1 - p where it is 0: the composed clamp/log/mul/sum chain and
+    1 - p where it is 0: the reference ops' clamp/log/mul/sum chain and
     affine_const(., weight, 0.0) to the bit, backward too, with their checks.
     """
     av = probs.values

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ContractError, ParamStore, Tensor, pair_heads,
-                       pair_scores)
+from .autodiff import ContractError, ParamStore, Tensor, pair_heads
 from .encoder import DamOutput
 
 ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
@@ -93,20 +92,6 @@ def relation_coefficients(alpha: float, beta: float,
             raise ContractError(f"{name} must be one of {ALPHA_BETA_GRID}, "
                                 f"got {val}")
     return (-beta, 1.0, alpha)
-
-
-def pair_decode(layers: list[Tensor], coeffs, head: DecoderParams) -> Tensor:
-    """Probability table [t, t, width] from stacked encoder outputs.
-
-    Each layer's token features mix its h_tilde streams with the (s, r, o)
-    coefficients; the pair feature for (i, j) concatenates, layer by layer,
-    the features of token i then token j. The head runs as one fused node
-    (`autodiff.pair_scores`) that projects each token once per side.
-    """
-    if not layers:
-        raise ContractError("pair_decode needs at least one layer")
-    return pair_scores(layers, coeffs, head.w_pair, head.b_pair, head.ln_gain,
-                       head.ln_bias, head.w_out, head.b_out)
 
 
 def decode_streams(outs: list[DamOutput], ner_head: DecoderParams,

@@ -10,12 +10,12 @@ F1, then entity F1, then first in enumeration order.
 
 from __future__ import annotations
 
-import json  # noqa: F401 -- json.dump is patched through this name in tests
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, add, bce, scratch
+from .autodiff import (ContractError, Tensor, _aligned, _lines, add, bce,
+                       scratch)
 from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
                      gold_tables, read_json, write_json)
 from .decoders import ALPHA_BETA_GRID
@@ -145,13 +145,17 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m, self._v = np.zeros((2, store.flat.size))
+        size = store.flat.size           # each moment on whole cache lines
+        moments = _aligned(2 * _lines(size)).reshape(2, -1)
+        moments.fill(0.0)
+        self._m, self._v = moments[:, :size]
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
         m, v = self._m, self._v
-        g, work, denom = scratch("adam", 3 * m.size).reshape(3, -1)
+        row = _lines(m.size)             # each third on whole cache lines
+        g, work, denom = scratch("adam", 3 * row).reshape(3, row)[:, :m.size]
         np.concatenate([grads[name] for name in self.store.names()],
                        axis=None, out=g)
         m *= self.beta1

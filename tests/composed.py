@@ -1,8 +1,8 @@
 """The composed reference for the fused kernels, built node by node from
-the autodiff primitives.
+the generic operations in `ops`.
 
 `autodiff.dam_sequence` runs a whole recurrent layer as one node and
-`autodiff.pair_scores` a whole decoder head; the functions here chain the
+`autodiff.pair_heads` both decoder heads; the functions here chain the
 same arithmetic one primitive at a time (one token step of the cell, the
 entity and relation features of a single layer), so tests can compare the
 fused kernels' values and gradients against them.
@@ -13,11 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from darter.autodiff import (ContractError, ShapeError, Tensor, add,
-                             affine_const, broadcast_add, concat, constant,
-                             matmul, mul, reshape, sub, tanh)
+                             affine_const, constant)
 from darter.decoders import (EntityLogits, RelationLogits, decode_streams,
-                             pair_decode, relation_coefficients)
+                             relation_coefficients)
 from darter.encoder import _MIX, DamParams
+
+from ops import (broadcast_add, concat, matmul, mul, pair_decode, reshape,
+                 sub, tanh)
 
 # ---------------------------------------------------------------------------
 # the recurrent cell, one token step at a time

@@ -2,7 +2,9 @@
 
 import json
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -755,3 +757,92 @@ def test_module_help_lists_exactly_the_command_flags(command, flags):
     options = done.stdout.split("options:")[1]
     listed = re.findall(r"--[\w-]+", options)
     assert listed == ["--help", *flags]
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzzing: every bad input exits 2 with a message naming the file
+
+# replacement values of every JSON type; no size here allocates much before
+# model.check_size could refuse it
+_MUTANT_VALUES = (None, True, False, "x", 2.5, -1, 0, 3, [], {}, [1],
+                  {"k": 1})
+
+
+def _mutate(rng, doc):
+    """doc with one type, deletion or extra-key mutation at a node chosen
+    by a random walk from the root (children of larger containers are not
+    favoured over shallow nodes); returns the new document and a label."""
+    doc = json.loads(json.dumps(doc))
+    parent, key, node, path = None, None, doc, []
+    while isinstance(node, (dict, list)) and node and rng.random() < 0.7:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = rng.choice(list(keys))
+        parent, node = node, node[key]
+        path.append(key)
+    kind = rng.choice(["type", "delete", "extra"])
+    if kind == "extra" and isinstance(node, dict):
+        node["zz_extra"] = rng.choice(_MUTANT_VALUES)
+    elif kind == "delete" and parent is not None:
+        del parent[key]
+    else:
+        kind = "type"
+        value = rng.choice(_MUTANT_VALUES)
+        if parent is None:
+            doc = value
+        else:
+            parent[key] = value
+    return doc, f"{kind} at {path}"
+
+
+def test_mutated_configs_and_checkpoints_exit_2_naming_a_file(tmp_path,
+                                                              capsys):
+    """A seeded generator of type, deletion and extra-key mutations of a
+    run config (through train, eval, predict and gridsearch) and of a
+    checkpoint (through eval and predict): no exception escapes main, and
+    every exit 2 prints a message that starts with a file path."""
+    rng = random.Random(20261019)
+    base = tmp_path / "base"
+    base.mkdir()
+    setup_tree(base, CORPUS[:2])
+    run = {
+        "schema": "schema.json", "train_corpus": "train.jsonl",
+        "dev_corpus": "dev.jsonl", "test_corpus": "dev.jsonl",
+        "input_corpus": "dev.jsonl", "checkpoint": "model.json",
+        "history": "history.json", "report": "report.json",
+        "predictions": "predictions.jsonl", "grid_results": "grid.json",
+        "model": {"variant": "darter", "d_p": 2, "d_h": 2, "seed": 3},
+        "train": {"lr": 0.01, "epochs": 0, "batch_size": 1, "seed": 3},
+        "loss": {"gamma": 1.0, "delta": 0.5},
+        "grid": {"alphas": [1.0], "betas": [1.0], "gammas": [1.0],
+                 "deltas": [1.0]},
+    }
+    assert main(["train", "--config", config_file(base, **run)]) == 0
+    checkpoint = json.loads((base / "model.json").read_text("utf-8"))
+    cases = ([("config", command) for command in
+              ("train", "eval", "predict", "gridsearch") for _ in range(60)]
+             + [("checkpoint", command) for command in ("eval", "predict")
+                for _ in range(60)])
+    codes = []
+    for n, (target, command) in enumerate(cases):
+        case = tmp_path / f"case{n}"
+        shutil.copytree(base, case)
+        config = case / "run.json"
+        if target == "config":
+            doc, label = _mutate(rng, run)
+            config.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            doc, label = _mutate(rng, checkpoint)
+            (case / "model.json").write_text(json.dumps(doc),
+                                             encoding="utf-8")
+        capsys.readouterr()
+        try:
+            code = main([command, "--config", str(config)])
+        except Exception as exc:
+            pytest.fail(f"{command}, {target} {label}: {exc!r} escaped main")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (command, target, label, code)
+        if code == 2:
+            assert err.startswith(f"error: {case}{os.sep}"), (
+                command, target, label, err)
+        codes.append(code)
+    assert len(codes) >= 300 and codes.count(2) >= len(codes) // 2

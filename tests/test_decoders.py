@@ -9,15 +9,17 @@ from darter import synthetic
 from darter.autodiff import ParamStore, Record, constant
 from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
 from darter.decoders import (DecoderParams, EntityLogits, RelationLogits,
-                             decode_streams, pair_decode,
-                             relation_coefficients, threshold_predictions)
+                             decode_streams, relation_coefficients,
+                             threshold_predictions)
 from darter.encoder import SUBTASKS, DamOutput
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import JointModel, ModelConfig
 from darter.training import TrainConfig, train
 
+import ops
 import oracles
 from composed import R_ONLY, bi_decode, ner_decode, r_slot, re_decode
+from ops import pair_decode
 
 
 def head_store(seed, n_streams, d_h, width, prefix="head"):
@@ -285,7 +287,7 @@ def test_decoder_gradients_finite_differences():
         rec = Record(recording=recording)
         head = DecoderParams.bind(store.bind(rec), "head")
         probs = pair_decode([r_slot(rec.leaf(h))], R_ONLY, head)
-        return rec, ad.sum_all(ad.mul(probs, constant(w)))
+        return rec, ops.sum_all(ops.mul(probs, constant(w)))
 
     rec, val = loss()
     rec.backward(val)
@@ -296,8 +298,8 @@ def test_decoder_gradients_finite_differences():
     rec3 = Record()
     bound3 = store.bind(rec3)
     head3 = DecoderParams.bind(bound3, "head")
-    out3 = ad.sum_all(ad.mul(pair_decode([r_slot(rec3.leaf(h))], R_ONLY,
-                                         head3), constant(w)))
+    out3 = ops.sum_all(ops.mul(pair_decode([r_slot(rec3.leaf(h))], R_ONLY,
+                                           head3), constant(w)))
     rec3.backward(out3)
     analytic = {k: rec3.grad(tv) for k, tv in bound3.items()}
     analytic = {k: (np.zeros_like(store[k]) if g is None else g)
@@ -332,10 +334,10 @@ def test_relation_stream_matches_the_composed_chain():
                                     relation_coefficients(alpha, beta), head)
             else:
                 h = {p: rec.leaf(v) for p, v in values.items()}
-                feats = ad.add(h["r"], ad.sub(ad.affine_const(h["o"], alpha),
-                                              ad.affine_const(h["s"], beta)))
+                feats = ad.add(h["r"], ops.sub(ad.affine_const(h["o"], alpha),
+                                               ad.affine_const(h["s"], beta)))
                 probs = pair_decode([r_slot(feats)], R_ONLY, head)
-            rec.backward(ad.sum_all(ad.mul(probs, weights)))
+            rec.backward(ops.sum_all(ops.mul(probs, weights)))
             grads = ([rec.grad(leaf)[:, 0, k] for k in range(3)] if fused
                      else [rec.grad(h[p]) for p in SUBTASKS])
             results.append((probs.values, grads))

@@ -10,6 +10,7 @@ from darter.encoder import (SUBTASKS, DamParams, Direction, encode_sequence,
                             encode_stacked, layer_direction)
 from darter.gradcheck import max_relative_error, numeric_gradients
 
+import ops
 import oracles
 from composed import (DamState, compute_candidates, dam_step, finalize,
                       inter_aggregate, intra_aggregate, project_inputs)
@@ -345,8 +346,8 @@ def test_encoder_gradients_finite_differences():
         out = encode_sequence(rec.leaf(x), params)
         total = None
         for p in SUBTASKS:
-            term = ad.sum_all(ad.mul(out.stream("h_tilde", p),
-                                     constant(w[p])))
+            term = ops.sum_all(ops.mul(out.stream("h_tilde", p),
+                                       constant(w[p])))
             total = term if total is None else ad.add(total, term)
         return rec, total
 
@@ -359,7 +360,7 @@ def test_encoder_gradients_finite_differences():
     out2 = encode_sequence(rec2.leaf(x), DamParams.bind(params2, "dam0"))
     total2 = None
     for p in SUBTASKS:
-        term = ad.sum_all(ad.mul(out2.stream("h_tilde", p), constant(w[p])))
+        term = ops.sum_all(ops.mul(out2.stream("h_tilde", p), constant(w[p])))
         total2 = term if total2 is None else ad.add(total2, term)
     rec2.backward(total2)
     analytic = {name: rec2.grad(t2) for name, t2 in params2.items()}
@@ -387,7 +388,7 @@ def composed_sequence(x, params, direction, interaction):
         z_t = ad.take(z_all, [i], axis=1)
         tildes[i], hiddens[i], state, _ = dam_step(z_t, state, params,
                                                     interaction)
-    return ad.concat(tildes, axis=1), ad.concat(hiddens, axis=1)
+    return ops.concat(tildes, axis=1), ops.concat(hiddens, axis=1)
 
 
 @pytest.mark.parametrize("t", range(1, 8))
@@ -408,15 +409,15 @@ def test_fused_cell_gradients_match_composed_dam_step(t, interaction,
         xt = rec.leaf(x)
         if fused:
             out = encode_sequence(xt, params, direction, interaction)
-            tilde = ad.concat([ad.reshape(out.stream("h_tilde", p),
-                                          (1, t, d_h)) for p in SUBTASKS])
-            hidden = ad.concat([ad.reshape(out.stream("hidden", p),
-                                           (1, t, d_h)) for p in SUBTASKS])
+            tilde = ops.concat([ops.reshape(out.stream("h_tilde", p),
+                                            (1, t, d_h)) for p in SUBTASKS])
+            hidden = ops.concat([ops.reshape(out.stream("hidden", p),
+                                             (1, t, d_h)) for p in SUBTASKS])
         else:
             tilde, hidden = composed_sequence(xt, params, direction,
                                               interaction)
-        loss = ad.add(ad.sum_all(ad.mul(tilde, constant(w_tilde))),
-                      ad.sum_all(ad.mul(hidden, constant(w_hidden))))
+        loss = ad.add(ops.sum_all(ops.mul(tilde, constant(w_tilde))),
+                      ops.sum_all(ops.mul(hidden, constant(w_hidden))))
         rec.backward(loss)
         grads = {kind: rec.grad(getattr(params, kind))
                  for kind in ("w_z", "b_z", "w_f", "b_f", "w_c", "b_c",

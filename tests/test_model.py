@@ -17,6 +17,8 @@ from darter.corpus import LabelSchema, MatchMode, Vocabulary
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import ConfigError, JointModel, ModelConfig, check_size
 
+import ops
+
 SCHEMA = LabelSchema(("per", "org"), ("works",))
 VOCAB = Vocabulary(("ada", "built", "acme", "mill"))
 
@@ -153,7 +155,7 @@ def test_embedding_gradient_is_sparse():
     model = JointModel(tiny_config(), SCHEMA, VOCAB)
     ids = VOCAB.encode(["ada", "acme", "ada"])  # rows 1 and 3, row 1 twice
     forward = model.forward(ids)
-    loss = ad.sum_all(forward.entities.probs)
+    loss = ops.sum_all(forward.entities.probs)
     forward.record.backward(loss)
     grad = forward.record.grad(forward.bound["embedding"])
     used = {1, 3}
@@ -191,15 +193,15 @@ def test_full_model_gradients(variant, interaction, entity_features):
 
     def loss_value():
         forward = model.forward(ids, recording=False)
-        return (ad.sum_all(ad.mul(forward.entities.probs, constant(w_e)))
+        return (ops.sum_all(ops.mul(forward.entities.probs, constant(w_e)))
                 .item()
-                + ad.sum_all(ad.mul(forward.relations.probs, constant(w_r)))
+                + ops.sum_all(ops.mul(forward.relations.probs, constant(w_r)))
                 .item())
 
     forward = model.forward(ids)
     loss = ad.add(
-        ad.sum_all(ad.mul(forward.entities.probs, constant(w_e))),
-        ad.sum_all(ad.mul(forward.relations.probs, constant(w_r))))
+        ops.sum_all(ops.mul(forward.entities.probs, constant(w_e))),
+        ops.sum_all(ops.mul(forward.relations.probs, constant(w_r))))
     forward.record.backward(loss)
     analytic = {}
     for name, tensor in forward.bound.items():
@@ -294,8 +296,8 @@ def test_a_recorded_step_is_freed_without_the_cycle_collector(variant):
     gc.disable()
     try:
         forward = model.forward(ids)
-        loss = ad.add(ad.sum_all(forward.entities.probs),
-                      ad.sum_all(forward.relations.probs))
+        loss = ad.add(ops.sum_all(forward.entities.probs),
+                      ops.sum_all(forward.relations.probs))
         forward.record.backward(loss)
         record = weakref.ref(forward.record)
         del forward, loss
@@ -315,7 +317,7 @@ def _wide_model(variant, seed):
 
 def _gradients(forward):
     rng = np.random.default_rng(5)      # the same loss weights every call
-    loss = ad.add(*(ad.sum_all(ad.mul(probs, constant(
+    loss = ad.add(*(ops.sum_all(ops.mul(probs, constant(
         rng.uniform(size=probs.shape))))
         for probs in (forward.entities.probs, forward.relations.probs)))
     grads = forward.record.backward(loss)

@@ -10,12 +10,15 @@ import numpy.testing as npt
 import pytest
 
 import darter.autodiff as ad
+import darter.training as training
 from darter.autodiff import ParamStore, Record, constant
 from darter.corpus import LabelSchema, Vocabulary
 from darter.decoders import DecoderParams
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import JointModel, ModelConfig
+from darter.training import Adam
 
+import ops
 from composed import R_ONLY, r_slot
 
 EPS = 1e-5
@@ -48,10 +51,10 @@ def two_pass_head(streams, p):
 
 
 def kernel(streams, p):
-    return ad.pair_scores([r_slot(constant(s)) for s in streams], R_ONLY,
-                          *(constant(p[k]) for k in ("w_pair", "b_pair",
-                                                     "gain", "bias", "w_out",
-                                                     "b_out")))
+    return ops.pair_scores([r_slot(constant(s)) for s in streams], R_ONLY,
+                           *(constant(p[k]) for k in ("w_pair", "b_pair",
+                                                      "gain", "bias", "w_out",
+                                                      "b_out")))
 
 
 @pytest.mark.parametrize("t", [1, 2, 5, 40])
@@ -128,10 +131,10 @@ def test_pair_scores_gradients_finite_differences(t, n, d_h):
     def loss(record):
         bound = store.bind(record)
         head = DecoderParams.bind(bound, "head")
-        probs = ad.pair_scores([r_slot(bound[f"x{k}"]) for k in range(n)],
-                               R_ONLY, head.w_pair, head.b_pair, head.ln_gain,
-                               head.ln_bias, head.w_out, head.b_out)
-        return ad.sum_all(ad.mul(probs, constant(weights))), bound
+        probs = ops.pair_scores([r_slot(bound[f"x{k}"]) for k in range(n)],
+                                R_ONLY, head.w_pair, head.b_pair, head.ln_gain,
+                                head.ln_bias, head.w_out, head.b_out)
+        return ops.sum_all(ops.mul(probs, constant(weights))), bound
 
     rec = Record()
     value, bound = loss(rec)
@@ -194,7 +197,7 @@ def test_blocked_forward_matches_reference_and_one_block(monkeypatch, t,
         npt.assert_allclose(got, whole, rtol=0, atol=1e-14,
                             err_msg=f"d_h={d_h}")
         rec = Record()
-        recorded = ad.pair_scores(
+        recorded = ops.pair_scores(
             [r_slot(rec.leaf(s)) for s in streams], R_ONLY,
             *(rec.leaf(p[k]) for k in ("w_pair", "b_pair", "gain", "bias",
                                        "w_out", "b_out")))
@@ -206,10 +209,10 @@ def head_loss(store, n, weights):
     def loss(record):
         bound = store.bind(record)
         head = DecoderParams.bind(bound, "head")
-        probs = ad.pair_scores([r_slot(bound[f"x{k}"]) for k in range(n)],
-                               R_ONLY, head.w_pair, head.b_pair, head.ln_gain,
-                               head.ln_bias, head.w_out, head.b_out)
-        return ad.sum_all(ad.mul(probs, constant(weights))), bound
+        probs = ops.pair_scores([r_slot(bound[f"x{k}"]) for k in range(n)],
+                                R_ONLY, head.w_pair, head.b_pair, head.ln_gain,
+                                head.ln_bias, head.w_out, head.b_out)
+        return ops.sum_all(ops.mul(probs, constant(weights))), bound
     return loss
 
 
@@ -285,7 +288,7 @@ def test_long_table_memory_stays_block_sized():
             rec.leaf(p[k]) for k in ("w_pair", "b_pair", "gain", "bias",
                                      "w_out", "b_out")]
         before = tracemalloc.get_traced_memory()[0]
-        head = ad.pair_scores(leaves[:n], R_ONLY, *leaves[n:])
+        head = ops.pair_scores(leaves[:n], R_ONLY, *leaves[n:])
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -329,9 +332,9 @@ def head_tables(layers, heads, together):
             probs = ad.pair_heads(leaves, [(c, *ps) for (c, _), ps in
                                            zip(heads, params)])[h]
         else:
-            probs = ad.pair_scores(leaves, coeffs, *params[h])
+            probs = ops.pair_scores(leaves, coeffs, *params[h])
         weights = np.random.default_rng(h).standard_normal(probs.shape)
-        rec.backward(ad.sum_all(ad.mul(probs, constant(weights))))
+        rec.backward(ops.sum_all(ops.mul(probs, constant(weights))))
         got.append([probs.values] + [rec.grad(x) for x in leaves + params[h]])
     return got
 
@@ -427,6 +430,19 @@ def test_reused_buffers_start_on_cache_lines(monkeypatch, d):
     assert starts == [(0, 0)] * 3
 
 
+def test_adam_buffers_start_on_cache_lines(monkeypatch):
+    """Both of Adam's moments and the three thirds of its scratch start on
+    64-byte boundaries when the parameter count is not a multiple of 8."""
+    monkeypatch.setattr(ad, "_workspaces", threading.local())
+    store = ParamStore(seed=0)
+    store.add_uniform("w", (13,), fan_in=1)
+    adam = Adam(store, lr=1e-2)
+    assert (adam._m.ctypes.data % 64, adam._v.ctypes.data % 64) == (0, 0)
+    adam.step({"w": np.ones(13)})
+    scratch = ad._workspaces.adam
+    assert (scratch.ctypes.data % 64, scratch.size) == (0, 3 * 16)
+
+
 def _allocate_at(offset):
     """An allocator whose buffers start `offset` bytes past a 64-byte
     boundary."""
@@ -441,7 +457,8 @@ def _allocate_at(offset):
 def test_buffer_placement_never_changes_bits(monkeypatch, variant):
     """With every reused buffer moved to 16 or 48 bytes past a boundary,
     probabilities at t = 5 and at t = 50 (whose pair tables stream at
-    d_h = 32) and a recorded backward's gradients keep their bytes."""
+    d_h = 32), a recorded backward's gradients and two Adam steps on them
+    keep their bytes."""
     vocab = Vocabulary(tuple(f"w{k}" for k in range(12)))
     model = JointModel(ModelConfig(variant=variant, d_p=32, d_h=32, seed=4),
                        LabelSchema(("per", "org"), ("works",)), vocab)
@@ -457,15 +474,28 @@ def test_buffer_placement_never_changes_bits(monkeypatch, variant):
                     forward.relations.probs.values.tobytes()]
         forward = model.forward(sentences[1])
         weights = np.random.default_rng(9)
-        loss = ad.add(*(ad.sum_all(ad.mul(probs, constant(
+        loss = ad.add(*(ops.sum_all(ops.mul(probs, constant(
             weights.uniform(size=probs.shape))))
             for probs in (forward.entities.probs, forward.relations.probs)))
         grads = forward.record.backward(loss)
+        named = {name: grads[leaf.node_id]
+                 for name, leaf in forward.bound.items()}
+        store = model.store.copy()
+        adams.append(Adam(store, lr=1e-2))
+        for _ in range(2):
+            adams[-1].step(named)
         return out + [grads[leaf.node_id].tobytes()
-                      for leaf in forward.bound.values()]
+                      for leaf in forward.bound.values()] + [
+            store.flat.tobytes(), adams[-1]._m.tobytes(),
+            adams[-1]._v.tobytes()]
 
+    adams = []
     aligned = outputs()
     for offset in (16, 48):
         monkeypatch.setattr(ad, "_aligned", _allocate_at(offset))
+        monkeypatch.setattr(training, "_aligned", _allocate_at(offset))
         assert outputs() == aligned
         assert ad._workspaces.pair.ctypes.data % 64 == offset
+        assert {ad._workspaces.adam.ctypes.data % 64,
+                adams[-1]._m.ctypes.data % 64,
+                adams[-1]._v.ctypes.data % 64} == {offset}

@@ -1,0 +1,78 @@
+"""The library ships only the operations darter runs: a training step
+records the embedding gather, the three fused kernels and the losses' sum;
+the generic operations and the one-head decode path live under `tests/`
+(`ops.py`, beside the composed reference), and nothing in `src/` reads
+them."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+import darter
+import darter.autodiff as ad
+import darter.decoders as decoders
+from darter import synthetic
+from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
+from darter.model import JointModel, ModelConfig
+from darter.training import TrainConfig, train
+
+SRC = Path(darter.__file__).resolve().parent
+
+
+def _public_functions(module) -> set[str]:
+    return {name for name, value in vars(module).items()
+            if inspect.isfunction(value) and not name.startswith("_")
+            and value.__module__ == module.__name__}
+
+
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+def test_a_training_step_records_only_the_live_tags(monkeypatch, variant):
+    """Every record that one epoch of bundled training runs backward over
+    holds leaves, one take, the layers' dam_sequence nodes, the two heads'
+    pair_scores nodes, two bce nodes and their add."""
+    corpus_path, schema_path = synthetic.synthetic_paths()
+    schema = LabelSchema.load(schema_path)
+    sentences = load_corpus(corpus_path, schema, MatchMode.EXACT)
+    model = JointModel(ModelConfig(variant=variant), schema,
+                       Vocabulary.from_corpus(sentences))
+    tags = []
+    backward = ad.Record.backward
+
+    def watched(record, loss):
+        tags.append(sorted({node.tag for node in record.nodes}))
+        return backward(record, loss)
+
+    monkeypatch.setattr(ad.Record, "backward", watched)
+    train(model, sentences, TrainConfig(lr=1e-3, epochs=1))
+    assert len(tags) == len(sentences)
+    assert all(step == ["add", "bce", "dam_sequence", "leaf", "pair_scores",
+                        "take"] for step in tags)
+
+
+def test_the_library_defines_only_the_live_operations():
+    """darter.autodiff's public functions are the seven Tensor operations
+    (the five a training step records, index and affine_const) and the
+    two non-op helpers; darter.decoders keeps one decode path."""
+    assert _public_functions(ad) == {
+        "take", "add", "index", "affine_const", "dam_sequence",
+        "pair_heads", "bce", "constant", "scratch"}
+    assert _public_functions(decoders) == {
+        "relation_coefficients", "decode_streams", "threshold_predictions"}
+
+
+def test_no_library_module_imports_the_test_references():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.level:           # from . import x: x is a module
+                    names += [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("ops", "composed",
+                                                  "tests"), (path.name, name)

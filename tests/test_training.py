@@ -12,7 +12,6 @@ import numpy.testing as npt
 import pytest
 
 import darter.autodiff as ad
-import darter.training as training
 from darter import synthetic
 from darter.autodiff import ContractError, ParamStore, Record, constant
 from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
@@ -25,6 +24,7 @@ from darter.training import (GAMMA_DELTA_GRID, Adam, GridPoint, LossWeights,
                              grid_search, load_checkpoint, save_checkpoint,
                              save_history, sentence_loss, train)
 
+import ops
 import oracles
 
 SCHEMA = LabelSchema(("per", "org"), ("works",))
@@ -389,7 +389,7 @@ def test_checkpoint_write_failure_keeps_the_previous_file(tmp_path,
         handle.write('{"format": "darter-checkpoint", "par')
         raise OSError("disk full")
 
-    monkeypatch.setattr(training.json, "dump", failing_dump)
+    monkeypatch.setattr(json, "dump", failing_dump)
     model.store.zero_all()
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(checkpoint, model)
@@ -471,14 +471,14 @@ def composed_bce(probs, gold, mask=None, eps=1e-7):
     """The entity/relation BCE as a chain of elementary nodes: clamp, two
     logs, three products, an affine, an add, a sum and a final affine."""
     gold = np.asarray(gold, dtype=np.float64)
-    p = ad.clamp(probs, eps, 1.0 - eps)
-    hit = ad.mul(constant(gold), ad.log(p))
-    miss = ad.mul(constant(1.0 - gold),
-                  ad.log(ad.affine_const(p, -1.0, 1.0)))
+    p = ops.clamp(probs, eps, 1.0 - eps)
+    hit = ops.mul(constant(gold), ops.log(p))
+    miss = ops.mul(constant(1.0 - gold),
+                   ops.log(ad.affine_const(p, -1.0, 1.0)))
     cells = ad.add(hit, miss)
     if mask is not None:
-        cells = ad.mul(cells, constant(np.asarray(mask, dtype=np.float64)))
-    return ad.affine_const(ad.sum_all(cells), -1.0, 0.0)
+        cells = ops.mul(cells, constant(np.asarray(mask, dtype=np.float64)))
+    return ad.affine_const(ops.sum_all(cells), -1.0, 0.0)
 
 
 def _bce_value_and_grad(loss_fn, probs, gold, mask, eps):
