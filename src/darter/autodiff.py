@@ -6,9 +6,8 @@ rebuilt from scratch on every forward pass; Record.backward walks the node list
 in reverse and accumulates gradients per node id. Forward functions never
 mutate their inputs.
 
-darter records only `take`, `add` and the fused kernels `dam_sequence`,
-`pair_heads` and `bce`; the generic operations they are checked against
-live with the composed reference in `tests/ops.py`.
+darter records only `take`, `add` and three fused kernels; the generic
+operations they are checked against live in `tests/ops.py`.
 """
 
 from __future__ import annotations
@@ -138,8 +137,8 @@ def _emit(tag: str, inputs: tuple[Tensor, ...], values: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the operations beside the fused kernels; nothing in darter records
-# affine_const (a benchmark test scales a loss through it)
+# pointwise: the losses' sum, and affine_const, which nothing in darter
+# records (a benchmark test scales a loss through it)
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
@@ -158,49 +157,8 @@ def affine_const(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     return _emit("affine_const", (a,), out, backward)
 
 
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along an axis; backward scatter-adds (duplicates sum)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take indices must be 1-d, got shape {idx.shape}")
-    av = a.values
-    if axis < 0 or axis >= av.ndim:
-        raise ShapeError(f"take axis {axis} out of range for shape {av.shape}")
-    # as unsigned, negative indices wrap to huge ones: one bound covers both
-    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= av.shape[axis]:
-        raise ContractError(f"take index out of range for axis {axis} of "
-                            f"shape {av.shape}")
-    ash = av.shape
-    where = (slice(None),) * axis + (idx,)
-    out = av[where]
-
-    def backward(g):
-        ga = np.zeros(ash, dtype=np.float64)
-        np.add.at(ga, where, g)
-        return (ga,)
-
-    return _emit("take", (a,), out, backward)
-
-
-def index(a: Tensor, key) -> Tensor:
-    """Basic indexing by integers and slices, as `a.values[key]`; the
-    result is a view. Backward writes the gradient into a zero array."""
-    ash = a.values.shape
-    try:
-        out = a.values[key]
-    except IndexError as e:
-        raise ShapeError(f"index {key!r} into shape {ash}: {e}") from None
-
-    def backward(g):
-        ga = np.zeros(ash, dtype=np.float64)
-        ga[key] = g
-        return (ga,)
-
-    return _emit("index", (a,), out, backward)
-
-
 # ---------------------------------------------------------------------------
-# pointwise helpers of the fused kernels
+# activations and pointwise functions
 
 def _sigmoid(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-av)) with the argument clamped at -709, where exp
@@ -271,6 +229,50 @@ def _layer_norm_backward(g, xhat, inv, gv):
     gx = g * gv
     dx = inv * (gx - _row_mean(gx) - xhat * _row_mean(gx * xhat))
     return dx, dgain, dbias
+
+
+# ---------------------------------------------------------------------------
+# structure
+
+def take(a: Tensor, indices, axis: int = 0) -> Tensor:
+    """Gather slices along an axis; backward scatter-adds (duplicates sum)."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"take indices must be 1-d, got shape {idx.shape}")
+    av = a.values
+    if axis < 0 or axis >= av.ndim:
+        raise ShapeError(f"take axis {axis} out of range for shape {av.shape}")
+    # as unsigned, negative indices wrap to huge ones: one bound covers both
+    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= av.shape[axis]:
+        raise ContractError(f"take index out of range for axis {axis} of "
+                            f"shape {av.shape}")
+    ash = av.shape
+    where = (slice(None),) * axis + (idx,)
+    out = av[where]
+
+    def backward(g):
+        ga = np.zeros(ash, dtype=np.float64)
+        np.add.at(ga, where, g)
+        return (ga,)
+
+    return _emit("take", (a,), out, backward)
+
+
+def index(a: Tensor, key) -> Tensor:
+    """Basic indexing by integers and slices, as `a.values[key]`; the
+    result is a view. Backward writes the gradient into a zero array."""
+    ash = a.values.shape
+    try:
+        out = a.values[key]
+    except IndexError as e:
+        raise ShapeError(f"index {key!r} into shape {ash}: {e}") from None
+
+    def backward(g):
+        ga = np.zeros(ash, dtype=np.float64)
+        ga[key] = g
+        return (ga,)
+
+    return _emit("index", (a,), out, backward)
 
 
 # ---------------------------------------------------------------------------
