@@ -484,8 +484,7 @@ def test_buffer_placement_never_changes_bits(monkeypatch, variant):
         adams.append(Adam(store, lr=1e-2))
         for _ in range(2):
             adams[-1].step(named)
-        return out + [grads[leaf.node_id].tobytes()
-                      for leaf in forward.bound.values()] + [
+        return out + [g.tobytes() for g in named.values()] + [
             store.flat.tobytes(), adams[-1]._m.tobytes(),
             adams[-1]._v.tobytes()]
 
