@@ -52,8 +52,8 @@ def step_loss(p):
         (coeffs, *(p[f"{name}.{k}"] for k in head_keys))
         for name, coeffs in (("ner", (1.0, 0.0, 1.0)),
                              ("re", (-1.0, 1.0, 1.0)))])
-    return ad.add(ad.bce(entities, entity_gold, 1e-7),
-                  ad.bce(relations, relation_gold, 1e-7))
+    return ad.add(ad.bce(entities, entity_gold),
+                  ad.bce(relations, relation_gold))
 
 
 # Binding the store to a Record makes every parameter a tracked leaf.

@@ -20,12 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand shapes do not satisfy an operation's contract."""
-
-
 class ContractError(ValueError):
-    """A non-shape precondition was violated."""
+    """A precondition of an operation was violated."""
+
+
+class ShapeError(ContractError):
+    """Operand shapes do not satisfy an operation's contract."""
 
 
 def _as_f64(values) -> np.ndarray:
@@ -510,6 +510,8 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
 # Pair-table elements pair_heads holds at once per head: 256 kB of float64
 # per buffer, so a block and its ELU temporary stay in a core's L2 cache.
 _PAIR_BLOCK = 2 ** 15
+# the pair heads' layer-norm epsilon, added to the variance
+_NORM_EPS = 1e-5
 
 
 def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
@@ -555,8 +557,8 @@ def _mix_streams(h: np.ndarray, terms, out: np.ndarray) -> None:
         out.fill(0.0)
 
 
-def pair_heads(layers: Sequence[Tensor], heads: Sequence[tuple],
-               eps: float = 1e-5) -> list[Tensor]:
+def pair_heads(layers: Sequence[Tensor],
+               heads: Sequence[tuple]) -> list[Tensor]:
     """Pair-scoring heads over the same layers in one pass: one node and
     one [t, t, width] probability table per head.
 
@@ -612,7 +614,7 @@ def pair_heads(layers: Sequence[Tensor], heads: Sequence[tuple],
                                                     gain.values, bias.values)
         logits_at.append(logits_at[-1] + t * t * w_out.values.shape[1])
     sides[:, :, 1] += affine[:, None, 0]
-    inv = _pair_norm_stats(sides, eps)
+    inv = _pair_norm_stats(sides, _NORM_EPS)
     scaled = sides * affine[:, None, None, 1]
     bv = affine[:, None, None, 2]
     rows = max(_PAIR_BLOCK // max(1, t * d_h), 1)
@@ -686,19 +688,26 @@ def _pair_backward(shape, coeffs, w_outv, probs, feats, w_ij, sides, inv,
     return (*dlayers, dw_pair, db_pair, dgain, dbias, dw_out, db_out)
 
 
-def bce(probs: Tensor, gold: np.ndarray, eps: float,
-        mask: np.ndarray | None = None, weight: float = 1.0) -> Tensor:
+def bce(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
+        eps: float = 1e-7, weight: float = 1.0) -> Tensor:
     """-sum(mask * (gold * log(p) + (1 - gold) * log(1 - p))) * weight with
-    p = clamp(probs, eps, 1 - eps), as one node.
+    p = clamp(probs, eps, 1 - eps), as one node: the loss of one table.
 
-    gold and mask are float arrays of probs' shape, gold binary (else a
-    ContractError). Each cell takes one log, of p where gold is 1 and of
-    1 - p where it is 0: the reference ops' clamp/log/mul/sum chain and
-    affine_const(., weight, 0.0) to the bit, backward too, with their checks.
+    gold and mask are read as float64 arrays of probs' shape (else a
+    ShapeError), gold binary (else a ContractError). Each cell takes one
+    log, of p where gold is 1 and of 1 - p where it is 0: the reference
+    ops' clamp/log/mul/sum chain and affine_const(., weight, 0.0) to the
+    bit, backward too, with their checks.
     """
     av = probs.values
-    if gold.shape != av.shape or mask is not None and mask.shape != av.shape:
-        raise ShapeError(f"bce tables must have shape {av.shape}")
+    gold = _as_f64(gold)
+    if gold.shape != av.shape:
+        raise ShapeError(f"gold shape {gold.shape} != probs shape {av.shape}")
+    if mask is not None:
+        mask = _as_f64(mask)
+        if mask.shape != av.shape:
+            raise ShapeError(
+                f"mask shape {mask.shape} != probs shape {av.shape}")
     hit = gold != 0.0
     if not np.logical_and.reduce((gold == hit).ravel()):
         raise ContractError("gold tables must be binary")

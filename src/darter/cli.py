@@ -179,14 +179,15 @@ def cmd_predict(args, run: dict) -> int:
 
 def _grids(**section) -> dict:
     """The grid section's value lists, each a non-empty subset of its full
-    grid; a missing key sweeps the full grid."""
+    grid with no value repeated; a missing key sweeps the full grid."""
     grids = {}
     for key, allowed in _GRIDS.items():
         values = section.get(key, list(allowed))
         # True == 1.0, so a boolean would pass the membership test
         if (not isinstance(values, list) or not values
                 or any(isinstance(v, bool) or v not in allowed
-                       for v in values)):
+                       for v in values)
+                or len(set(values)) != len(values)):
             raise ConfigError(f"grid.{key} must be a non-empty subset of "
                               f"{list(allowed)}")
         grids[key] = tuple(values)

@@ -179,8 +179,7 @@ def layer_direction(layer_index: int) -> Direction:
 
 
 def encode_stacked(x: Tensor, layers: list[DamParams],
-                   interaction: bool = True,
-                   collect_trace: bool = False) -> list[DamOutput]:
+                   interaction: bool = True) -> list[DamOutput]:
     """Run a stack of cells; layer l > 0 reads the previous layer's
     per-token hidden sum h_s + h_r + h_o. All layer outputs are returned,
     because the decoders read every layer."""
@@ -193,8 +192,7 @@ def encode_stacked(x: Tensor, layers: list[DamParams],
             raise ShapeError(f"layer {idx} expects input width {params.d_in}, "
                              f"previous layer produces {layers[idx - 1].d_h}")
         out = encode_sequence(current, params, layer_direction(idx),
-                              interaction=interaction,
-                              collect_trace=collect_trace)
+                              interaction=interaction)
         outputs.append(out)
         current = out.stacked
     return outputs

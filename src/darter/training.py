@@ -10,6 +10,7 @@ F1, then entity F1, then first in enumeration order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "LossWeights",
     "TrainConfig",
     "TrainingDiverged",
-    "bce_sum",
     "grid_search",
     "load_checkpoint",
     "save_checkpoint",
@@ -87,36 +87,23 @@ class TrainConfig:
 # loss
 
 
-def bce_sum(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
-            eps: float = 1e-7, weight: float = 1.0) -> Tensor:
-    """Binary cross-entropy summed over (unmasked) table cells and scaled
-    by `weight`, as one autodiff node (`autodiff.bce`, which also checks
-    that gold is binary)."""
-    gold = np.asarray(gold, dtype=np.float64)
-    if gold.shape != probs.shape:
-        raise ContractError(
-            f"gold shape {gold.shape} != probs shape {probs.shape}")
-    if mask is not None:
-        if mask.shape != probs.shape:
-            raise ContractError(
-                f"mask shape {mask.shape} != probs shape {probs.shape}")
-        mask = np.asarray(mask, dtype=np.float64)
-    return bce(probs, gold, eps, mask, weight)
-
-
 def sentence_loss(forward, entity_gold: np.ndarray, relation_gold: np.ndarray,
                   mask: np.ndarray | None, weights: LossWeights,
                   eps: float = 1e-7) -> Tensor:
     """gamma * entity-table BCE + delta * relation-table BCE: three nodes,
     with the weights applied inside the BCE nodes."""
-    return add(bce_sum(forward.entities.probs, entity_gold, mask, eps,
-                       weights.gamma),
-               bce_sum(forward.relations.probs, relation_gold, None, eps,
-                       weights.delta))
+    return add(bce(forward.entities.probs, entity_gold, mask, eps,
+                   weights.gamma),
+               bce(forward.relations.probs, relation_gold, None, eps,
+                   weights.delta))
 
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+
+# Adam's moment decays and denominator epsilon
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -128,22 +115,18 @@ class Adam:
     allocates nothing. The operations and their order are those of the
     per-array formula
 
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + ((1 - beta2) * g) * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p = p - (lr * m_hat) / (sqrt(v_hat) + eps)
+        m = _BETA1 * m + (1 - _BETA1) * g
+        v = _BETA2 * v + ((1 - _BETA2) * g) * g
+        m_hat = m / (1 - _BETA1 ** t)
+        v_hat = v / (1 - _BETA2 ** t)
+        p = p - (lr * m_hat) / (sqrt(v_hat) + _EPS)
 
     so the result is the same, bit for bit.
     """
 
-    def __init__(self, store, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         size = store.flat.size           # each moment on whole cache lines
         moments = _aligned(2 * _lines(size)).reshape(2, -1)
@@ -158,18 +141,18 @@ class Adam:
         g, work, denom = scratch("adam", 3 * row).reshape(3, row)[:, :m.size]
         np.concatenate([grads[name] for name in self.store.names()],
                        axis=None, out=g)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=work)
+        m *= _BETA1
+        np.multiply(g, 1.0 - _BETA1, out=work)
         m += work
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=work)
+        v *= _BETA2
+        np.multiply(g, 1.0 - _BETA2, out=work)
         work *= g
         v += work
-        np.divide(m, 1.0 - self.beta1 ** t, out=work)
+        np.divide(m, 1.0 - _BETA1 ** t, out=work)
         work *= self.lr
-        np.divide(v, 1.0 - self.beta2 ** t, out=denom)
+        np.divide(v, 1.0 - _BETA2 ** t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += _EPS
         work /= denom
         flat = self.store.flat
         flat -= work
@@ -294,20 +277,17 @@ def grid_search(config: ModelConfig, schema: LabelSchema, vocab: Vocabulary,
 
     points = []
     best = None
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                for delta in deltas:
-                    point_config = replace(config, alpha=alpha, beta=beta)
-                    model = JointModel(point_config, schema, vocab)
-                    train(model, train_sentences, train_config,
-                          LossWeights(gamma=gamma, delta=delta))
-                    ner_f1, re_f1 = scorer(model, dev_sentences)
-                    point = GridPoint(alpha, beta, gamma, delta,
-                                      ner_f1, re_f1)
-                    points.append(point)
-                    if best is None or rank(point) > rank(best):
-                        best = point
+    for alpha, beta, gamma, delta in itertools.product(alphas, betas, gammas,
+                                                       deltas):
+        model = JointModel(replace(config, alpha=alpha, beta=beta), schema,
+                           vocab)
+        train(model, train_sentences, train_config,
+              LossWeights(gamma=gamma, delta=delta))
+        ner_f1, re_f1 = scorer(model, dev_sentences)
+        point = GridPoint(alpha, beta, gamma, delta, ner_f1, re_f1)
+        points.append(point)
+        if best is None or rank(point) > rank(best):
+            best = point
     return GridSearchResult(best=best, points=tuple(points))
 
 

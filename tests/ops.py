@@ -187,11 +187,11 @@ def sum_all(a: Tensor) -> Tensor:
 
 def pair_scores(layers: Sequence[Tensor], coeffs: Sequence[float],
                 w_pair: Tensor, b_pair: Tensor, gain: Tensor, bias: Tensor,
-                w_out: Tensor, b_out: Tensor, eps: float = 1e-5) -> Tensor:
+                w_out: Tensor, b_out: Tensor) -> Tensor:
     """One pair-scoring head as one node: [t, t, width] probabilities, the
     one-head case of `pair_heads`."""
     return pair_heads(layers, [(coeffs, w_pair, b_pair, gain, bias, w_out,
-                                b_out)], eps)[0]
+                                b_out)])[0]
 
 
 def pair_decode(layers: list[Tensor], coeffs, head) -> Tensor:

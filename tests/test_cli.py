@@ -500,6 +500,21 @@ def test_gridsearch_boolean_grid_value_names_the_grid_key(tmp_path, capsys,
     assert "must be a number" not in err
 
 
+@pytest.mark.parametrize("values", [[1.0, 1.0], [1, 1.0], [[1.0], [1.0]]])
+@pytest.mark.parametrize("key", ["alphas", "betas", "gammas", "deltas"])
+def test_gridsearch_rejects_a_repeated_grid_value(tmp_path, capsys, key,
+                                                  values):
+    """A repeated value would train the same point twice; an unhashable
+    one still gets the membership message, not a traceback."""
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        dev_corpus="dev.jsonl", grid_results="grid.json",
+        grid={key: values}, train={"lr": 0.01, "epochs": 1, "seed": 3}))
+    assert main(["gridsearch", "--config", config]) == 2
+    assert f"grid.{key} must be a non-empty subset" in capsys.readouterr().err
+    assert not (tmp_path / "grid.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # atomic outputs
 

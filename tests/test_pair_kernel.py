@@ -391,10 +391,10 @@ def test_bce_rejects_non_binary_gold():
     for gold in (np.full((2, 2, 1), 0.5), np.full((2, 2, 1), 2.0),
                  np.full((2, 2, 1), np.nan), np.full((2, 2, 1), -1.0)):
         with pytest.raises(ad.ContractError, match="binary"):
-            ad.bce(probs, gold, 1e-7)
+            ad.bce(probs, gold, eps=1e-7)
     gold = np.zeros((2, 2, 1))
     gold[0, 1, 0] = 1.0
-    assert np.isfinite(ad.bce(probs, gold, 1e-7).item())
+    assert np.isfinite(ad.bce(probs, gold, eps=1e-7).item())
 
 
 # ---------------------------------------------------------------------------

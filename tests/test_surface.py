@@ -2,7 +2,7 @@
 records the embedding gather, the three fused kernels and the losses' sum;
 the generic operations and the one-head decode path live under `tests/`
 (`ops.py`, beside the composed reference), and nothing in `src/` reads
-them."""
+them. There is one loss function, and no parameter that no caller sets."""
 
 import ast
 import inspect
@@ -13,8 +13,10 @@ import pytest
 import darter
 import darter.autodiff as ad
 import darter.decoders as decoders
+import darter.training as training
 from darter import synthetic
 from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
+from darter.encoder import encode_stacked
 from darter.model import JointModel, ModelConfig
 from darter.training import TrainConfig, train
 
@@ -76,3 +78,25 @@ def test_no_library_module_imports_the_test_references():
             for name in names:
                 assert name.split(".")[0] not in ("ops", "composed",
                                                   "tests"), (path.name, name)
+
+
+def _parameters(fn) -> list[tuple]:
+    return [(p.name, p.default)
+            for p in inspect.signature(fn).parameters.values()]
+
+
+def test_one_loss_function_and_no_parameter_without_a_caller():
+    """`bce` is the only loss entry point, its shape errors are contract
+    errors, and the constants no caller sets are not parameters."""
+    required = inspect.Parameter.empty
+    assert not hasattr(training, "bce_sum")
+    assert _parameters(ad.bce) == [
+        ("probs", required), ("gold", required), ("mask", None),
+        ("eps", 1e-7), ("weight", 1.0)]
+    assert _parameters(ad.pair_heads) == [("layers", required),
+                                          ("heads", required)]
+    assert _parameters(training.Adam.__init__) == [
+        ("self", required), ("store", required), ("lr", required)]
+    assert _parameters(encode_stacked) == [
+        ("x", required), ("layers", required), ("interaction", True)]
+    assert issubclass(ad.ShapeError, ad.ContractError)

@@ -20,9 +20,9 @@ from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import ConfigError, JointModel, ModelConfig
 from darter.training import (GAMMA_DELTA_GRID, Adam, GridPoint, LossWeights,
-                             TrainConfig, TrainingDiverged, bce_sum,
-                             grid_search, load_checkpoint, save_checkpoint,
-                             save_history, sentence_loss, train)
+                             TrainConfig, TrainingDiverged, grid_search,
+                             load_checkpoint, save_checkpoint, save_history,
+                             sentence_loss, train)
 
 import ops
 import oracles
@@ -58,7 +58,7 @@ def test_bce_matches_scalar_oracle():
     probs = rng.uniform(0.01, 0.99, (2, 2, 2))
     gold = (rng.uniform(size=(2, 2, 2)) > 0.5).astype(float)
     mask = (rng.uniform(size=(2, 2, 2)) > 0.3).astype(float)
-    got = bce_sum(constant(probs), gold, mask).item()
+    got = ad.bce(constant(probs), gold, mask).item()
     want = oracles.bce_sum(probs.tolist(), gold.tolist(), mask.tolist())
     assert abs(got - want) <= 1e-12
 
@@ -66,20 +66,20 @@ def test_bce_matches_scalar_oracle():
 def test_bce_rejects_non_binary_gold():
     probs = constant(np.full((1, 1, 1), 0.5))
     with pytest.raises(ContractError, match="binary"):
-        bce_sum(probs, np.full((1, 1, 1), 0.5))
+        ad.bce(probs, np.full((1, 1, 1), 0.5))
     with pytest.raises(ContractError, match="shape"):
-        bce_sum(probs, np.zeros((2, 1, 1)))
+        ad.bce(probs, np.zeros((2, 1, 1)))
 
 
 def test_bce_rejects_a_mask_of_the_wrong_shape():
     probs = constant(np.full((2, 2, 1), 0.5))
     with pytest.raises(ContractError, match=r"mask shape \(2, 2\) != probs"):
-        bce_sum(probs, np.zeros((2, 2, 1)), np.ones((2, 2)))
+        ad.bce(probs, np.zeros((2, 2, 1)), np.ones((2, 2)))
 
 
 def test_bce_clamp_keeps_saturated_probabilities_finite():
     probs = constant(np.array([[0.0, 1.0]]))
-    value = bce_sum(probs, np.array([[1.0, 0.0]]), eps=1e-7).item()
+    value = ad.bce(probs, np.array([[1.0, 0.0]]), eps=1e-7).item()
     assert np.isfinite(value)
     assert abs(value - 2 * -math.log(1e-7)) <= 1e-6
 
@@ -87,7 +87,7 @@ def test_bce_clamp_keeps_saturated_probabilities_finite():
 def test_bce_perfect_prediction_is_only_clamp_deep():
     gold = np.array([[1.0, 0.0], [0.0, 1.0]])
     eps = 1e-7
-    value = bce_sum(constant(gold), gold, eps=eps).item()
+    value = ad.bce(constant(gold), gold, eps=eps).item()
     assert 0.0 < value <= gold.size * -math.log(1.0 - eps) + 1e-15
 
 
@@ -102,7 +102,7 @@ def test_bce_gradient_against_finite_differences():
     def run(recording=True):
         rec = Record(recording=recording)
         bound = store.bind(rec)
-        return rec, bound, bce_sum(bound["p"], gold, mask)
+        return rec, bound, ad.bce(bound["p"], gold, mask)
 
     rec, bound, loss = run()
     rec.backward(loss)
@@ -502,7 +502,7 @@ def test_fused_bce_matches_composed_chain_bit_for_bit(masked, eps):
     gold.flat[:8] = (1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
     mask = (np.triu(np.ones((5, 5)))[:, :, None] * np.ones(3)
             if masked else None)
-    fused = _bce_value_and_grad(bce_sum, probs, gold, mask, eps)
+    fused = _bce_value_and_grad(ad.bce, probs, gold, mask, eps)
     composed = _bce_value_and_grad(composed_bce, probs, gold, mask, eps)
     for got, want in zip(fused, composed):
         assert got.shape == want.shape
@@ -510,7 +510,7 @@ def test_fused_bce_matches_composed_chain_bit_for_bit(masked, eps):
     # a table's sum can round a last-bit difference of one cell away
     for p, y in zip(probs.ravel(), gold.ravel()):
         cell = constant(np.full((1, 1), p))
-        assert (bce_sum(cell, np.full((1, 1), y), eps=eps).values.tobytes()
+        assert (ad.bce(cell, np.full((1, 1), y), eps=eps).values.tobytes()
                 == composed_bce(cell, np.full((1, 1), y), eps=eps)
                 .values.tobytes())
 
@@ -524,7 +524,7 @@ def test_fused_bce_matches_composed_chain_bit_for_bit(masked, eps):
 def test_fused_bce_keeps_the_clamp_and_log_contracts(probs, eps, message):
     probs = constant(np.array([probs]))
     gold = np.array([[1.0, 0.0]])
-    for loss_fn in (bce_sum, composed_bce):
+    for loss_fn in (ad.bce, composed_bce):
         with pytest.raises(ContractError, match=message):
             loss_fn(probs, gold, None, eps)
 
@@ -712,10 +712,10 @@ def test_weighted_bce_nodes_match_the_affine_chain_bit_for_bit(gamma,
 
     def chain(forward):
         return ad.add(
-            ad.affine_const(bce_sum(forward.entities.probs, gold_e, mask,
-                                    eps), gamma, 0.0),
-            ad.affine_const(bce_sum(forward.relations.probs, gold_r, None,
-                                    eps), delta, 0.0))
+            ad.affine_const(ad.bce(forward.entities.probs, gold_e, mask,
+                                   eps), gamma, 0.0),
+            ad.affine_const(ad.bce(forward.relations.probs, gold_r, None,
+                                   eps), delta, 0.0))
 
     nodes, value, grads = run(lambda forward: sentence_loss(
         forward, gold_e, gold_r, mask, LossWeights(gamma, delta), eps))
