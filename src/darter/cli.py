@@ -98,6 +98,16 @@ def _train_config(args, run: dict) -> TrainConfig:
     return _section(args, run, "train", TrainConfig, seed=args.seed)
 
 
+def _corpus(args, run: dict, key: str, schema, config: ModelConfig) -> list:
+    """The corpus at the run config's `key`, which must not be empty."""
+    corpus = load_corpus(_require(args, run, key), schema, config.match_mode)
+    if not corpus:
+        kind = "training" if key == "train_corpus" else "dev"
+        raise ConfigError(f"{run[key]}: {args.command} needs a non-empty "
+                          f"{kind} corpus")
+    return corpus
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -107,8 +117,7 @@ def cmd_train(args, run: dict) -> int:
     train_config = _train_config(args, run)
     weights = _section(args, run, "loss", LossWeights)
     schema = LabelSchema.load(_require(args, run, "schema"))
-    corpus = load_corpus(_require(args, run, "train_corpus"), schema,
-                         model_config.match_mode)
+    corpus = _corpus(args, run, "train_corpus", schema, model_config)
     vocab = Vocabulary.from_corpus(corpus)
     model = checked(f"{args.config}: model", JointModel, model_config, schema,
                     vocab)
@@ -199,13 +208,8 @@ def cmd_gridsearch(args, run: dict) -> int:
     train_config = _train_config(args, run)
     grids = _section(args, run, "grid", _grids)
     schema = LabelSchema.load(_require(args, run, "schema"))
-    train_corpus = load_corpus(_require(args, run, "train_corpus"), schema,
-                               model_config.match_mode)
-    dev_corpus = load_corpus(_require(args, run, "dev_corpus"), schema,
-                             model_config.match_mode)
-    if not dev_corpus:
-        raise ConfigError(f"{run['dev_corpus']}: gridsearch needs a "
-                          "non-empty dev corpus")
+    train_corpus, dev_corpus = (_corpus(args, run, key, schema, model_config)
+                                for key in ("train_corpus", "dev_corpus"))
     vocab = Vocabulary.from_corpus(train_corpus)
     checked(f"{args.config}: model", check_size, model_config, schema, vocab)
     result = grid_search(model_config, schema, vocab, train_corpus,

@@ -109,11 +109,10 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam with bias correction over the store's flat parameter vector.
 
-    step() gathers the named gradients into one flat buffer, in the
-    store's order, and updates the moments in place, with this thread's
-    `autodiff.scratch` for the gradient and the temporaries, so a step
-    allocates nothing. The operations and their order are those of the
-    per-array formula
+    step(g) takes the gradient as one vector laid out as `store.flat` and
+    updates the moments in place, with this thread's `autodiff.scratch`
+    for the temporaries, so a step allocates nothing. The operations and
+    their order are those of the per-array formula
 
         m = _BETA1 * m + (1 - _BETA1) * g
         v = _BETA2 * v + ((1 - _BETA2) * g) * g
@@ -133,14 +132,12 @@ class Adam:
         moments.fill(0.0)
         self._m, self._v = moments[:, :size]
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, g: np.ndarray) -> None:
         self.step_count += 1
         t = self.step_count
         m, v = self._m, self._v
-        row = _lines(m.size)             # each third on whole cache lines
-        g, work, denom = scratch("adam", 3 * row).reshape(3, row)[:, :m.size]
-        np.concatenate([grads[name] for name in self.store.names()],
-                       axis=None, out=g)
+        row = _lines(m.size)             # each half on whole cache lines
+        work, denom = scratch("adam", 2 * row).reshape(2, row)[:, :m.size]
         m *= _BETA1
         np.multiply(g, 1.0 - _BETA1, out=work)
         m += work
@@ -191,14 +188,15 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
     prepared = [_prepare(model, s) for s in sentences]
     rng = np.random.default_rng(train_config.seed)
     optimizer = Adam(model.store, train_config.lr)
+    size = model.store.flat.size         # each row on whole cache lines
+    grads, own = _aligned(2 * _lines(size)).reshape(2, -1)[:, :size]
     history = []
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(prepared))
         epoch_loss = 0.0
         for start in range(0, len(order), train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
-            grads = None
-            for idx in batch:
+            for k, idx in enumerate(batch):
                 item = prepared[idx]
                 forward = model.forward(item.token_ids)
                 loss = sentence_loss(forward, item.entity_gold,
@@ -211,18 +209,16 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
                         f"sentence {int(idx)}")
                 epoch_loss += value
                 found = forward.record.backward(loss)
-                own = {}
-                for name, leaf in forward.bound.items():
-                    grad = found.get(leaf.node_id)
-                    # a parameter the loss does not reach still gets a
-                    # zero gradient: Adam decays its moments
-                    own[name] = (np.zeros_like(model.store[name])
-                                 if grad is None else grad)
-                grads = own if grads is None else {
-                    name: grads[name] + grad for name, grad in own.items()}
+                # in the store's order; a parameter the loss does not reach
+                # reads zeros, so Adam still decays its moments
+                np.concatenate([found[leaf.node_id] if leaf.node_id in found
+                                else np.zeros_like(leaf.values)
+                                for leaf in forward.bound.values()],
+                               axis=None, out=own if k else grads)
+                if k:
+                    grads += own
             if len(batch) > 1:
-                scale = 1.0 / len(batch)
-                grads = {name: g * scale for name, g in grads.items()}
+                grads *= 1.0 / len(batch)
             optimizer.step(grads)
         history.append(epoch_loss / len(prepared))
     return history

@@ -719,6 +719,20 @@ def test_eval_schema_mismatch_names_both_files(tmp_path, capsys):
     assert str(tmp_path / "model.json") in err
 
 
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+def test_empty_training_corpus_names_the_file(tmp_path, capsys, command):
+    setup_tree(tmp_path)
+    save_corpus(tmp_path / "empty.jsonl", [])
+    config = config_file(tmp_path, **train_entries(
+        train_corpus="empty.jsonl", dev_corpus="dev.jsonl",
+        grid_results="grid.json"))
+    assert main([command, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'empty.jsonl'}: {command} needs a non-empty "
+            "training corpus") in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_gridsearch_empty_dev_corpus_names_the_file(tmp_path, capsys):
     setup_tree(tmp_path)
     save_corpus(tmp_path / "empty.jsonl", [])

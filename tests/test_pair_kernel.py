@@ -12,11 +12,12 @@ import pytest
 import darter.autodiff as ad
 import darter.training as training
 from darter.autodiff import ParamStore, Record, constant
-from darter.corpus import LabelSchema, Vocabulary
+from darter import synthetic
+from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
 from darter.decoders import DecoderParams
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import JointModel, ModelConfig
-from darter.training import Adam
+from darter.training import Adam, TrainConfig
 
 import ops
 from composed import R_ONLY, r_slot
@@ -431,16 +432,34 @@ def test_reused_buffers_start_on_cache_lines(monkeypatch, d):
 
 
 def test_adam_buffers_start_on_cache_lines(monkeypatch):
-    """Both of Adam's moments and the three thirds of its scratch start on
-    64-byte boundaries when the parameter count is not a multiple of 8."""
+    """Both of Adam's moments, the two halves of its scratch and the
+    gradient row that `train` hands it start on 64-byte boundaries when
+    the parameter count is not a multiple of 8."""
     monkeypatch.setattr(ad, "_workspaces", threading.local())
     store = ParamStore(seed=0)
     store.add_uniform("w", (13,), fan_in=1)
     adam = Adam(store, lr=1e-2)
     assert (adam._m.ctypes.data % 64, adam._v.ctypes.data % 64) == (0, 0)
-    adam.step({"w": np.ones(13)})
+    adam.step(np.ones(13))
     scratch = ad._workspaces.adam
-    assert (scratch.ctypes.data % 64, scratch.size) == (0, 3 * 16)
+    assert (scratch.ctypes.data % 64, scratch.size) == (0, 2 * 16)
+
+    stepped = []
+    step = Adam.step
+
+    def watched(adam, g):
+        stepped.append((g.ctypes.data % 64, g.size))
+        step(adam, g)
+
+    monkeypatch.setattr(Adam, "step", watched)
+    corpus_path, schema_path = synthetic.synthetic_paths()
+    schema = LabelSchema.load(schema_path)
+    sentences = load_corpus(corpus_path, schema, MatchMode.EXACT)[:2]
+    model = JointModel(ModelConfig(d_p=3, d_h=3), schema,
+                       Vocabulary.from_corpus(sentences))
+    assert model.store.flat.size % 8
+    training.train(model, sentences, TrainConfig(epochs=1, batch_size=2))
+    assert stepped == [(0, model.store.flat.size)]
 
 
 def _allocate_at(offset):
@@ -483,7 +502,7 @@ def test_buffer_placement_never_changes_bits(monkeypatch, variant):
         store = model.store.copy()
         adams.append(Adam(store, lr=1e-2))
         for _ in range(2):
-            adams[-1].step(named)
+            adams[-1].step(np.concatenate(list(named.values()), axis=None))
         return out + [g.tobytes() for g in named.values()] + [
             store.flat.tobytes(), adams[-1]._m.tobytes(),
             adams[-1]._v.tobytes()]

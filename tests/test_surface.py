@@ -97,6 +97,8 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
                                           ("heads", required)]
     assert _parameters(training.Adam.__init__) == [
         ("self", required), ("store", required), ("lr", required)]
+    assert _parameters(training.Adam.step) == [("self", required),
+                                               ("g", required)]
     assert _parameters(encode_stacked) == [
         ("x", required), ("layers", required), ("interaction", True)]
     assert issubclass(ad.ShapeError, ad.ContractError)

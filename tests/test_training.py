@@ -12,6 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import darter.autodiff as ad
+import darter.training as training
 from darter import synthetic
 from darter.autodiff import ContractError, ParamStore, Record, constant
 from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
@@ -155,7 +156,7 @@ def test_adam_first_step_is_signed_lr():
     store.add_zeros("w", (3,))
     before = store["w"].copy()
     opt = Adam(store, lr=0.01)
-    opt.step({"w": np.array([1.0, -2.0, 0.5])})
+    opt.step(np.array([1.0, -2.0, 0.5]))
     delta = store["w"] - before
     npt.assert_allclose(delta, [-0.01, 0.01, -0.01], rtol=1e-6)
 
@@ -167,7 +168,7 @@ def test_adam_is_deterministic():
         opt = Adam(store, lr=0.05)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            opt.step({"w": rng.standard_normal(4)})
+            opt.step(rng.standard_normal(4))
         return store["w"].copy()
 
     npt.assert_array_equal(run(), run())
@@ -573,8 +574,9 @@ def test_flat_adam_matches_per_name_reference_bit_for_bit():
         grads = {"w": rng.standard_normal((3, 4)),
                  "b": rng.standard_normal(4) if step % 3 else np.zeros(4),
                  "still": np.zeros((2, 2))}
-        flat.step({k: g.copy() for k, g in grads.items()})
-        other.step({"big": rng.standard_normal((7, 9))})
+        flat.step(np.concatenate([grads[k] for k in flat_store.names()],
+                                 axis=None))
+        other.step(rng.standard_normal(63))
         ref.step(grads)
         for name in ref_store.names():
             assert flat_store[name].tobytes() == ref_store[name].tobytes()
@@ -629,8 +631,8 @@ def bundled_corpus():
     return schema, sentences, Vocabulary.from_corpus(sentences)
 
 
-@pytest.mark.parametrize("variant, batch_size", [("darter", 1),
-                                                 ("bidarter", 3)])
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+@pytest.mark.parametrize("batch_size", [1, 3])
 def test_train_reproduces_the_composed_reference_bit_for_bit(variant,
                                                              batch_size):
     schema, sentences, vocab = bundled_corpus()
@@ -645,6 +647,27 @@ def test_train_reproduces_the_composed_reference_bit_for_bit(variant,
     assert [h.hex() for h in history] == [h.hex() for h in ref_history]
     for name in ref_store.names():
         assert store[name].tobytes() == ref_store[name].tobytes(), name
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_parameters_the_loss_does_not_reach_keep_their_bytes(monkeypatch,
+                                                             batch_size):
+    """With a loss of the entity table alone, the relation head's
+    parameters get zero gradients and Adam leaves them as they were;
+    every other parameter moves."""
+    def entity_loss(forward, entity_gold, relation_gold, mask, weights,
+                    eps):
+        return ad.bce(forward.entities.probs, entity_gold, mask, eps)
+
+    monkeypatch.setattr(training, "sentence_loss", entity_loss)
+    schema, sentences, vocab = bundled_corpus()
+    model = JointModel(ModelConfig(seed=3), schema, vocab)
+    before = model.store.copy()
+    train(model, sentences, TrainConfig(lr=1e-2, epochs=2,
+                                        batch_size=batch_size, seed=5))
+    for name in model.store.names():
+        kept = model.store[name].tobytes() == before[name].tobytes()
+        assert kept == name.startswith("re."), name
 
 
 def test_training_step_node_budget():
