@@ -400,15 +400,13 @@ def relation_anchor(entity: Entity, mode: MatchMode) -> int:
 
 
 def gold_entities(sentence: Sentence, schema: LabelSchema,
-                  mode: MatchMode | None = None) -> frozenset:
-    mode = sentence.mode if mode is None else mode
+                  mode: MatchMode) -> frozenset:
     return frozenset(entity_triple(e, schema, mode)
                      for e in sentence.entities)
 
 
 def gold_relations(sentence: Sentence, schema: LabelSchema,
-                   mode: MatchMode | None = None) -> frozenset:
-    mode = sentence.mode if mode is None else mode
+                   mode: MatchMode) -> frozenset:
     triples = set()
     for rel in sentence.relations:
         subject = sentence.entities[rel.subject]
@@ -425,9 +423,9 @@ def gold_tables(sentence: Sentence,
     t = len(sentence)
     entity_table = np.zeros((t, t, schema.u))
     relation_table = np.zeros((t, t, schema.v))
-    for i, j, k in gold_entities(sentence, schema):
+    for i, j, k in gold_entities(sentence, schema, sentence.mode):
         entity_table[i, j, k] = 1.0
-    for i, m, k in gold_relations(sentence, schema):
+    for i, m, k in gold_relations(sentence, schema, sentence.mode):
         relation_table[i, m, k] = 1.0
     return entity_table, relation_table
 

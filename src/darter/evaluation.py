@@ -18,13 +18,10 @@ from .corpus import (LabelSchema, MatchMode, Sentence, entity_triple,
 __all__ = [
     "ErrorTaxonomy",
     "PRF1",
-    "error_taxonomy",
     "evaluate_corpus",
     "macro_f1",
     "per_type_scores",
     "project_entity_triples",
-    "score_entities",
-    "score_relations",
     "score_sets",
 ]
 
@@ -71,20 +68,6 @@ def project_entity_triples(triples, mode: MatchMode) -> frozenset:
     if mode is MatchMode.TAIL:
         return frozenset((j, j, k) for _, j, k in triples)
     return frozenset(triples)
-
-
-def score_entities(pred_entities, sentence: Sentence, schema: LabelSchema,
-                   mode: MatchMode | None = None) -> PRF1:
-    mode = sentence.mode if mode is None else mode
-    return score_sets(project_entity_triples(pred_entities, mode),
-                      gold_entities(sentence, schema, mode))
-
-
-def score_relations(pred_relations, sentence: Sentence, schema: LabelSchema,
-                    mode: MatchMode | None = None) -> PRF1:
-    mode = sentence.mode if mode is None else mode
-    return score_sets(frozenset(pred_relations),
-                      gold_relations(sentence, schema, mode))
 
 
 def per_type_scores(pred: frozenset, gold: frozenset,
@@ -143,17 +126,6 @@ class ErrorTaxonomy:
                 "ETSOR": self.etsor, "ETSON": self.etson}
 
 
-def error_taxonomy(pred_entities, pred_relations, sentence: Sentence,
-                   schema: LabelSchema,
-                   mode: MatchMode | None = None) -> ErrorTaxonomy:
-    mode = sentence.mode if mode is None else mode
-    return _taxonomy(project_entity_triples(pred_entities, mode),
-                     gold_entities(sentence, schema, mode),
-                     frozenset(pred_relations),
-                     gold_relations(sentence, schema, mode),
-                     sentence, schema, mode)
-
-
 def _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence: Sentence,
               schema: LabelSchema, mode: MatchMode) -> ErrorTaxonomy:
     gold_spans = {(i, j) for i, j, _ in gold_e}
@@ -203,6 +175,18 @@ def _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence: Sentence,
 # corpus-level report
 
 
+def _tail_anchored(relations, entities) -> frozenset:
+    """Move start-anchored relation cells to the tails of the predicted
+    entities that start at each anchor, every combination; an anchor where
+    no entity starts is read as a one-token span."""
+    tails: dict[int, list] = {}
+    for i, j, _ in entities:
+        tails.setdefault(i, []).append(j)
+    return frozenset((j_s, j_o, k) for i, m, k in relations
+                     for j_s in tails.get(i, (i,))
+                     for j_o in tails.get(m, (m,)))
+
+
 def evaluate_corpus(sentences, predictions, schema: LabelSchema,
                     mode: MatchMode) -> dict:
     """Score a corpus and return the full report as a JSON-ready dict."""
@@ -219,6 +203,8 @@ def evaluate_corpus(sentences, predictions, schema: LabelSchema,
         pred_e = project_entity_triples(pred.entities, mode)
         gold_e = gold_entities(sentence, schema, mode)
         pred_r = frozenset(pred.relations)
+        if mode is MatchMode.TAIL and sentence.mode is MatchMode.EXACT:
+            pred_r = _tail_anchored(pred_r, pred.entities)
         gold_r = gold_relations(sentence, schema, mode)
         counts = subsets["it" if sentence.relations else "oot"]
         counts[0] += 1

@@ -253,12 +253,12 @@ def test_entity_triple_projection():
     assert entity_triple(e, SCHEMA, MatchMode.TAIL) == (3, 3, 1)
 
 
-def test_gold_sets_default_to_sentence_mode():
+def test_gold_sets_follow_the_given_mode():
     s = sent(["a", "b", "c", "d"],
              entities=[(0, 1, "per"), (2, 3, "org")],
              relations=[(0, 1, "works")])
-    assert gold_entities(s, SCHEMA) == {(0, 1, 0), (2, 3, 1)}
-    assert gold_relations(s, SCHEMA) == {(0, 2, 0)}
+    assert gold_entities(s, SCHEMA, MatchMode.EXACT) == {(0, 1, 0), (2, 3, 1)}
+    assert gold_relations(s, SCHEMA, MatchMode.EXACT) == {(0, 2, 0)}
     # the same sentence scored at tail positions
     assert gold_entities(s, SCHEMA, MatchMode.TAIL) == {(1, 1, 0), (3, 3, 1)}
     assert gold_relations(s, SCHEMA, MatchMode.TAIL) == {(1, 3, 0)}

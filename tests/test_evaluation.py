@@ -1,5 +1,6 @@
 """Metric arithmetic and the hand-tallied corpus report."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,9 @@ from darter.autodiff import ContractError
 from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
                            Sentence)
 from darter.decoders import PredictionSet
-from darter.evaluation import (ErrorTaxonomy, PRF1, error_taxonomy,
-                               evaluate_corpus, macro_f1, per_type_scores,
-                               project_entity_triples, score_entities,
-                               score_relations, score_sets)
+from darter.evaluation import (ErrorTaxonomy, PRF1, evaluate_corpus,
+                               macro_f1, per_type_scores,
+                               project_entity_triples, score_sets)
 
 from fixtures import adversarial_fixture
 
@@ -21,6 +21,18 @@ SCHEMA = LabelSchema(("per", "org", "loc"), ("works", "near"))
 def sent(tokens, entities=(), relations=(), mode=MatchMode.EXACT):
     return Sentence(tuple(tokens), tuple(Entity(*e) for e in entities),
                     tuple(Relation(*r) for r in relations), mode)
+
+
+def scored(sentence, entities=(), relations=(), mode=MatchMode.EXACT):
+    """The report of a one-sentence corpus and its predicted triples."""
+    return evaluate_corpus(
+        [sentence], [PredictionSet(frozenset(entities), frozenset(relations))],
+        SCHEMA, mode)
+
+
+def micro(report, task):
+    cell = report[task]["micro"]
+    return (cell["tp"], cell["fp"], cell["fn"])
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +66,10 @@ def test_score_sets_self_is_perfect():
 def test_tail_mode_gives_tail_credit():
     # prediction knows only the tail; gold carries the full span
     s = sent(["a", "b", "c", "d"], entities=[(1, 3, "per")])
-    cell = score_entities(frozenset({(3, 3, 0)}), s, SCHEMA, MatchMode.TAIL)
-    assert (cell.tp, cell.fp, cell.fn) == (1, 0, 0)
-    exact = score_entities(frozenset({(3, 3, 0)}), s, SCHEMA, MatchMode.EXACT)
-    assert (exact.tp, exact.fp, exact.fn) == (0, 1, 1)
+    tail = scored(s, {(3, 3, 0)}, mode=MatchMode.TAIL)
+    assert micro(tail, "ner") == (1, 0, 0)
+    exact = scored(s, {(3, 3, 0)}, mode=MatchMode.EXACT)
+    assert micro(exact, "ner") == (0, 1, 1)
 
 
 def test_project_entity_triples():
@@ -70,8 +82,7 @@ def test_project_entity_triples():
 def test_swapped_relation_direction_counts_twice():
     s = sent(["a", "b"], entities=[(0, 0, "per"), (1, 1, "org")],
              relations=[(0, 1, "works")])
-    cell = score_relations(frozenset({(1, 0, 0)}), s, SCHEMA)
-    assert (cell.tp, cell.fp, cell.fn) == (0, 1, 1)
+    assert micro(scored(s, relations={(1, 0, 0)}), "re") == (0, 1, 1)
 
 
 def test_per_type_attribution():
@@ -96,30 +107,29 @@ PERFECT = sent(["a", "b"], entities=[(0, 0, "per"), (1, 1, "org")],
 
 
 def test_taxonomy_perfect_prediction():
-    tallies = error_taxonomy(frozenset({(0, 0, 0), (1, 1, 1)}),
-                             frozenset({(0, 1, 0)}), PERFECT, SCHEMA)
-    assert tallies.to_json() == {"ET": 2, "EN": 0, "ET_NP": 0, "SOR": 1,
+    tallies = scored(PERFECT, {(0, 0, 0), (1, 1, 1)},
+                     {(0, 1, 0)})["error_taxonomy"]
+    assert tallies == {"ET": 2, "EN": 0, "ET_NP": 0, "SOR": 1,
                                  "SON": 0, "SOR_NP": 0, "ETSOR": 1,
                                  "ETSON": 0}
 
 
 def test_taxonomy_span_right_type_wrong():
-    tallies = error_taxonomy(frozenset({(0, 0, 2)}), frozenset(),
-                             PERFECT, SCHEMA)
-    assert tallies.en == 1 and tallies.et == 0
-    assert tallies.et_np == 1  # only the (1, 1) span went unpredicted
-    assert tallies.sor_np == 1
+    tallies = scored(PERFECT, {(0, 0, 2)})["error_taxonomy"]
+    assert tallies["EN"] == 1 and tallies["ET"] == 0
+    assert tallies["ET_NP"] == 1  # only the (1, 1) span went unpredicted
+    assert tallies["SOR_NP"] == 1
 
 
 def test_taxonomy_wrong_relation_type_needs_entities_for_joint_credit():
     # correct pair, wrong type, both endpoint entities predicted
-    with_entities = error_taxonomy(frozenset({(0, 0, 0), (1, 1, 1)}),
-                                   frozenset({(0, 1, 1)}), PERFECT, SCHEMA)
-    assert with_entities.son == 1 and with_entities.etson == 1
+    with_entities = scored(PERFECT, {(0, 0, 0), (1, 1, 1)},
+                           {(0, 1, 1)})["error_taxonomy"]
+    assert with_entities["SON"] == 1 and with_entities["ETSON"] == 1
     # same relation error with a mistyped endpoint: no joint credit
-    without = error_taxonomy(frozenset({(0, 0, 0), (1, 1, 2)}),
-                             frozenset({(0, 1, 1)}), PERFECT, SCHEMA)
-    assert without.son == 1 and without.etson == 0
+    without = scored(PERFECT, {(0, 0, 0), (1, 1, 2)},
+                     {(0, 1, 1)})["error_taxonomy"]
+    assert without["SON"] == 1 and without["ETSON"] == 0
 
 
 def test_taxonomy_addition():
@@ -127,6 +137,57 @@ def test_taxonomy_addition():
     b = ErrorTaxonomy(et=3, sor_np=1)
     total = a + b
     assert total.et == 4 and total.son == 2 and total.sor_np == 1
+
+
+# ---------------------------------------------------------------------------
+# rescoring across modes
+
+SPANS = sent(["a", "b", "c", "d"], entities=[(0, 1, "per"), (2, 3, "org")],
+             relations=[(0, 1, "works")])
+
+
+def test_exact_predictions_rescored_tail_anchor_relations_at_tails():
+    # predictions equal to the exact gold: the relation cell sits at the
+    # span starts and moves to the predicted entities' tails
+    entities, relations = {(0, 1, 0), (2, 3, 1)}, {(0, 2, 0)}
+    tail = scored(SPANS, entities, relations, MatchMode.TAIL)
+    assert micro(tail, "re") == (1, 0, 0)
+    assert tail["error_taxonomy"]["SOR"] == 1
+    assert tail["error_taxonomy"]["ETSOR"] == 1
+    assert tail["error_taxonomy"]["SOR_NP"] == 0
+    exact = scored(SPANS, entities, relations, MatchMode.EXACT)
+    assert micro(exact, "re") == (1, 0, 0)
+
+
+def test_tail_rescoring_pairs_every_entity_at_an_anchor():
+    # two entities start at 0 and none at 2, read as the span (2, 2): the
+    # cell (0, 2) stands for the tail pairs (0, 2) and (1, 2)
+    s = sent(["a", "b", "c"], entities=[(0, 1, "per"), (2, 2, "org")],
+             relations=[(0, 1, "works")])
+    tail = scored(s, {(0, 0, 2), (0, 1, 0)}, {(0, 2, 0)}, MatchMode.TAIL)
+    assert micro(tail, "re") == (1, 1, 0)
+
+
+def test_same_mode_and_tail_annotations_keep_relation_cells():
+    # a sentence's mode is the layout its predictions come in; tail cells
+    # scored exact stay put, here (0, 2), though entities start at both
+    # its anchors
+    tail_spans = replace(SPANS, mode=MatchMode.TAIL)
+    exact = scored(tail_spans, {(0, 1, 0), (2, 3, 1)}, {(0, 2, 0)},
+                   MatchMode.EXACT)
+    assert micro(exact, "re") == (1, 0, 0)
+    # the hand-tallied fixture, its sentences in either mode, scored so
+    schema, sentences, predictions, expected = adversarial_fixture()
+    taxonomy = {
+        MatchMode.EXACT: expected["taxonomy"],
+        MatchMode.TAIL: {"ET": 8, "EN": 2, "ET_NP": 3, "SOR": 2, "SON": 1,
+                         "SOR_NP": 3, "ETSOR": 2, "ETSON": 1}}
+    for mode in MatchMode:
+        corpus = [replace(s, mode=mode) for s in sentences]
+        report = evaluate_corpus(corpus, predictions, schema, mode)
+        assert micro(report, "ner") == expected["ner_micro"]
+        assert micro(report, "re") == expected["re_micro"]
+        assert report["error_taxonomy"] == taxonomy[mode]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 records the embedding gather, the three fused kernels and the losses' sum;
 the generic operations and the one-head decode path live under `tests/`
 (`ops.py`, beside the composed reference), and nothing in `src/` reads
-them. There is one loss function, and no parameter that no caller sets."""
+them. There is one loss function, one scorer, and no parameter that no
+caller sets."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -13,9 +15,11 @@ import pytest
 import darter
 import darter.autodiff as ad
 import darter.decoders as decoders
+import darter.evaluation as evaluation
 import darter.training as training
 from darter import synthetic
-from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
+from darter.corpus import (LabelSchema, MatchMode, Vocabulary, gold_entities,
+                           gold_relations, load_corpus)
 from darter.encoder import encode_stacked
 from darter.model import JointModel, ModelConfig
 from darter.training import TrainConfig, train
@@ -102,3 +106,36 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
     assert _parameters(encode_stacked) == [
         ("x", required), ("layers", required), ("interaction", True)]
     assert issubclass(ad.ShapeError, ad.ContractError)
+
+
+def test_one_scorer_and_gold_sets_take_their_mode():
+    """`evaluate_corpus` is the only scorer (a sentence's scores come from
+    a one-sentence corpus), and the gold triples' mode is always given."""
+    assert _public_functions(evaluation) == {
+        "evaluate_corpus", "macro_f1", "per_type_scores",
+        "project_entity_triples", "score_sets"}
+    required = inspect.Parameter.empty
+    for fn in (gold_entities, gold_relations):
+        assert _parameters(fn) == [("sentence", required),
+                                   ("schema", required), ("mode", required)]
+
+
+def _modules_with_all() -> list[str]:
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Assign)
+               and any(getattr(target, "id", None) == "__all__"
+                       for target in node.targets)
+               for node in tree.body):
+            names.append("darter" if path.stem == "__init__"
+                         else f"darter.{path.stem}")
+    return names
+
+
+@pytest.mark.parametrize("name", _modules_with_all())
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(name)
+    missing = [entry for entry in module.__all__
+               if not hasattr(module, entry)]
+    assert not missing, (name, missing)
