@@ -258,23 +258,6 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     return _emit("take", (a,), out, backward)
 
 
-def index(a: Tensor, key) -> Tensor:
-    """Basic indexing by integers and slices, as `a.values[key]`; the
-    result is a view. Backward writes the gradient into a zero array."""
-    ash = a.values.shape
-    try:
-        out = a.values[key]
-    except IndexError as e:
-        raise ShapeError(f"index {key!r} into shape {ash}: {e}") from None
-
-    def backward(g):
-        ga = np.zeros(ash, dtype=np.float64)
-        ga[key] = g
-        return (ga,)
-
-    return _emit("index", (a,), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # fused layers: one node each, forward in plain numpy, backward by hand
 

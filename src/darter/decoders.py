@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, ParamStore, Tensor, pair_heads
-from .encoder import DamOutput
 
 ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
 
@@ -94,17 +93,17 @@ def relation_coefficients(alpha: float, beta: float,
     return (-beta, 1.0, alpha)
 
 
-def decode_streams(outs: list[DamOutput], ner_head: DecoderParams,
+def decode_streams(layers: list[Tensor], ner_head: DecoderParams,
                    re_head: DecoderParams, alpha: float, beta: float,
                    entity_features: bool = True
                    ) -> tuple[EntityLogits, RelationLogits]:
-    """Decode from every encoder layer at once; the pair features
-    concatenate all layers' mixed streams in layer order. Both heads run in
-    one `autodiff.pair_heads` pass, one node each."""
-    if not outs:
+    """Decode from every encoder layer's [t, 2, 3, d_h] output at once; the
+    pair features concatenate all layers' mixed streams in layer order.
+    Both heads run in one `autodiff.pair_heads` pass, one node each."""
+    if not layers:
         raise ContractError("decode_streams needs at least one encoder output")
     re_coeffs = relation_coefficients(alpha, beta, entity_features)
-    entities, relations = pair_heads([out.stacked for out in outs], [
+    entities, relations = pair_heads(layers, [
         (coeffs, h.w_pair, h.b_pair, h.ln_gain, h.ln_bias, h.w_out, h.b_out)
         for coeffs, h in ((ENTITY_COEFFS, ner_head), (re_coeffs, re_head))])
     return EntityLogits(entities), RelationLogits(relations)

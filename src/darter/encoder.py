@@ -16,13 +16,12 @@ decoder heads read whole.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (ContractError, ParamStore, ShapeError, Tensor,
-                       dam_sequence, index)
+                       dam_sequence)
 
 SUBTASKS = ("s", "r", "o")
 
@@ -35,11 +34,6 @@ _MIX = np.array([[0.0, -1.0, 1.0],
                  [1.0, 1.0, 0.0]])
 
 _PARAM_KINDS = ("w_z", "b_z", "w_f", "b_f", "w_c", "b_c", "w_a", "b_a")
-
-
-class Direction(enum.Enum):
-    LEFT_TO_RIGHT = "ltr"
-    RIGHT_TO_LEFT = "rtl"
 
 
 @dataclass
@@ -103,29 +97,38 @@ class TraceStep:
         return getattr(self, field)[SUBTASKS.index(p), 0]
 
 
-_FIELDS = ("h_tilde", "hidden")
+def _layer(x: Tensor, params: DamParams, reverse: bool,
+           interaction: bool) -> tuple[Tensor, dict[str, np.ndarray]]:
+    """One fused `dam_sequence` call: the layer's output and the
+    activations it saves."""
+    if x.values.shape[0] < 1:
+        raise ContractError("cannot encode an empty sentence")
+    return dam_sequence(x, params.w_z, params.b_z, params.w_f, params.b_f,
+                        params.w_c, params.b_c, params.w_a, params.b_a,
+                        reverse=reverse, mix=_MIX if interaction else None)
 
 
-@dataclass
-class DamOutput:
-    """One layer's output: h_tilde and the hidden state of every stream,
-    in token order, stacked as [t, 2, 3, d_h] (field, then subtask)."""
+def encode_sequence(x: Tensor, params: DamParams, reverse: bool = False,
+                    interaction: bool = True) -> Tensor:
+    """Run the cell in one direction over a token matrix [t, d_p], or over
+    a previous layer's output [t, 2, 3, d_p], read as the per-token sum
+    h_s + h_r + h_o of its hidden streams.
 
-    stacked: Tensor
-    trace: list[TraceStep] | None
-
-    def stream(self, field: str, p: str) -> Tensor:
-        """The [t, d_h] features of one field ("h_tilde" or "hidden") of
-        subtask p, as an `index` view of the stacked output."""
-        return index(self.stacked, (slice(None), _FIELDS.index(field),
-                                    SUBTASKS.index(p)))
+    Returns h_tilde and the hidden state of every stream as one
+    [t, 2, 3, d_h] tensor (token; field; subtask), always in original
+    token order, whatever the processing direction. The projection and
+    the recurrence are one fused autodiff node (`autodiff.dam_sequence`).
+    """
+    return _layer(x, params, reverse, interaction)[0]
 
 
-def _trace(out: Tensor, acts: dict[str, np.ndarray], params: DamParams,
-           reverse: bool, interaction: bool) -> list[TraceStep]:
-    """One TraceStep per token, in visiting order, every field [3, 1, d_h]
-    as a single composed step sees it; f = (z + b_f) + h_prev @ w_f, which
-    the layer never forms alone, is computed here."""
+def trace_sequence(x: Tensor, params: DamParams,
+                   reverse: bool = False) -> list[TraceStep]:
+    """One TraceStep per token of an interacting cell's run, in visiting
+    order, every field [3, 1, d_h] as a single composed step sees it, read
+    from the activations the fused layer saves; f = (z + b_f) + h_prev @
+    w_f, which the layer never forms alone, is computed here."""
+    out, acts = _layer(x, params, reverse, True)
     t, _, _, d_h = out.shape
     h, zero = out.values[:, 1], np.zeros((1, 3, d_h))
     h_in = np.concatenate((h[1:], zero) if reverse else (zero, h[:-1]))
@@ -136,8 +139,6 @@ def _trace(out: Tensor, acts: dict[str, np.ndarray], params: DamParams,
 
     def at(key: str, i: int) -> np.ndarray:
         if key == "inter":
-            if not interaction:
-                return np.zeros((3, 1, d_h))
             return (_MIX @ rows["f"][i].reshape(3, d_h)).reshape(3, 1, d_h)
         return rows[key][i].reshape(3, 1, d_h).copy()
 
@@ -147,52 +148,19 @@ def _trace(out: Tensor, acts: dict[str, np.ndarray], params: DamParams,
             for i in order]
 
 
-def encode_sequence(x: Tensor, params: DamParams,
-                    direction: Direction = Direction.LEFT_TO_RIGHT,
-                    interaction: bool = True,
-                    collect_trace: bool = False) -> DamOutput:
-    """Run the cell in one direction over a token matrix [t, d_p], or over
-    a previous layer's output [t, 2, 3, d_p], read as the per-token sum
-    h_s + h_r + h_o of its hidden streams.
-
-    Outputs are always reported in original token order, whatever the
-    processing direction. The projection and the recurrence are one fused
-    autodiff node (`autodiff.dam_sequence`); the trace is read from the
-    activations it saves.
-    """
-    if x.values.shape[0] < 1:
-        raise ContractError("cannot encode an empty sentence")
-    reverse = direction is Direction.RIGHT_TO_LEFT
-    out, acts = dam_sequence(x, params.w_z, params.b_z, params.w_f,
-                             params.b_f, params.w_c, params.b_c, params.w_a,
-                             params.b_a, reverse=reverse,
-                             mix=_MIX if interaction else None)
-    trace = (_trace(out, acts, params, reverse, interaction) if collect_trace
-             else None)
-    return DamOutput(out, trace)
-
-
-def layer_direction(layer_index: int) -> Direction:
-    """Layers alternate, starting left-to-right at index 0."""
-    return (Direction.LEFT_TO_RIGHT if layer_index % 2 == 0
-            else Direction.RIGHT_TO_LEFT)
-
-
 def encode_stacked(x: Tensor, layers: list[DamParams],
-                   interaction: bool = True) -> list[DamOutput]:
-    """Run a stack of cells; layer l > 0 reads the previous layer's
-    per-token hidden sum h_s + h_r + h_o. All layer outputs are returned,
-    because the decoders read every layer."""
+                   interaction: bool = True) -> list[Tensor]:
+    """Run a stack of cells, alternating direction from left-to-right at
+    layer 0; layer l > 0 reads the previous layer's per-token hidden sum
+    h_s + h_r + h_o. Every layer's output is returned, because the
+    decoders read every layer."""
     if len(layers) < 1:
         raise ContractError("need at least one layer")
-    outputs: list[DamOutput] = []
-    current = x
+    outputs: list[Tensor] = []
     for idx, params in enumerate(layers):
         if idx > 0 and params.d_in != layers[idx - 1].d_h:
             raise ShapeError(f"layer {idx} expects input width {params.d_in}, "
                              f"previous layer produces {layers[idx - 1].d_h}")
-        out = encode_sequence(current, params, layer_direction(idx),
-                              interaction=interaction)
-        outputs.append(out)
-        current = out.stacked
+        x = encode_sequence(x, params, idx % 2 == 1, interaction)
+        outputs.append(x)
     return outputs

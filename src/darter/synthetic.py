@@ -20,6 +20,9 @@ __all__ = ["random_corpus", "synthetic_corpus", "synthetic_paths",
 
 _DATA = resources.files("darter") / "data"
 
+# random_corpus draws its tokens from the words w0 .. w11
+_ALPHABET = 12
+
 
 def synthetic_paths() -> tuple[str, str]:
     """Filesystem paths of the bundled corpus and its schema."""
@@ -39,13 +42,12 @@ def synthetic_corpus() -> list[Sentence]:
 
 def random_corpus(rng: np.random.Generator, schema: LabelSchema,
                   n_sentences: int, max_tokens: int = 5,
-                  mode: MatchMode = MatchMode.EXACT,
-                  alphabet: int = 12) -> list[Sentence]:
+                  mode: MatchMode = MatchMode.EXACT) -> list[Sentence]:
     """Small random sentences with consistent annotations for fuzz tests."""
     sentences = []
     for _ in range(n_sentences):
         t = int(rng.integers(1, max_tokens + 1))
-        tokens = tuple(f"w{int(rng.integers(alphabet))}" for _ in range(t))
+        tokens = tuple(f"w{int(rng.integers(_ALPHABET))}" for _ in range(t))
         spans = set()
         for _ in range(int(rng.integers(0, 3))):
             i = int(rng.integers(t))

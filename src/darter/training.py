@@ -265,6 +265,11 @@ def grid_search(config: ModelConfig, schema: LabelSchema, vocab: Vocabulary,
     """Refit per grid point; best dev relation F1 wins, entity F1 breaks
     ties, then the lexicographically smallest (alpha, beta, gamma, delta)."""
     scorer = _default_scorer if scorer is None else scorer
+    grid = {"alphas": alphas, "betas": betas, "gammas": gammas,
+            "deltas": deltas}
+    for name, values in grid.items():
+        if len(values) == 0:
+            raise ContractError(f"grid_search: the {name} grid is empty")
 
     def rank(point):
         # maximize scores, then minimize the parameter tuple
@@ -272,19 +277,14 @@ def grid_search(config: ModelConfig, schema: LabelSchema, vocab: Vocabulary,
                 (-point.alpha, -point.beta, -point.gamma, -point.delta))
 
     points = []
-    best = None
-    for alpha, beta, gamma, delta in itertools.product(alphas, betas, gammas,
-                                                       deltas):
+    for alpha, beta, gamma, delta in itertools.product(*grid.values()):
         model = JointModel(replace(config, alpha=alpha, beta=beta), schema,
                            vocab)
         train(model, train_sentences, train_config,
               LossWeights(gamma=gamma, delta=delta))
         ner_f1, re_f1 = scorer(model, dev_sentences)
-        point = GridPoint(alpha, beta, gamma, delta, ner_f1, re_f1)
-        points.append(point)
-        if best is None or rank(point) > rank(best):
-            best = point
-    return GridSearchResult(best=best, points=tuple(points))
+        points.append(GridPoint(alpha, beta, gamma, delta, ner_f1, re_f1))
+    return GridSearchResult(best=max(points, key=rank), points=tuple(points))
 
 
 # ---------------------------------------------------------------------------

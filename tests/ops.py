@@ -8,7 +8,8 @@ The operations here compose the same arithmetic one primitive at a time:
 cell and of a one-layer decoder head, and the op-level tests audit each of
 them against scalar oracles and finite differences. `pair_scores` and
 `pair_decode` run one head through the fused `pair_heads`, so a test can
-score a single head.
+score a single head, and `index` views one stream of a layer's output, so
+a test can differentiate through it.
 """
 
 from __future__ import annotations
@@ -173,6 +174,23 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot reshape {old} to {shape}") from None
     return _emit("reshape", (a,), out, lambda g: (g.reshape(old),))
+
+
+def index(a: Tensor, key) -> Tensor:
+    """Basic indexing by integers and slices, as `a.values[key]`; the
+    result is a view. Backward writes the gradient into a zero array."""
+    ash = a.values.shape
+    try:
+        out = a.values[key]
+    except IndexError as e:
+        raise ShapeError(f"index {key!r} into shape {ash}: {e}") from None
+
+    def backward(g):
+        ga = np.zeros(ash, dtype=np.float64)
+        ga[key] = g
+        return (ga,)
+
+    return _emit("index", (a,), out, backward)
 
 
 def sum_all(a: Tensor) -> Tensor:

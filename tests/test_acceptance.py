@@ -17,7 +17,8 @@ from darter.cli import main
 from darter.corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
                            gold_tables)
 from darter.decoders import ALPHA_BETA_GRID
-from darter.encoder import SUBTASKS, DamParams, Direction, encode_sequence
+from darter.encoder import (SUBTASKS, DamParams, encode_sequence,
+                            trace_sequence)
 from darter.evaluation import evaluate_corpus
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import JointModel, ModelConfig
@@ -147,11 +148,10 @@ def test_criterion_2_cross_stream_mixing_identities():
         d_h = int(rng.integers(2, 7))
         t = int(rng.integers(1, 7))
         params = randomized_cell(rng, trial, d_p, d_h)
-        direction = (Direction.LEFT_TO_RIGHT if trial % 2 == 0
-                     else Direction.RIGHT_TO_LEFT)
-        out = encode_sequence(constant(rng.standard_normal((t, d_p))),
-                              params, direction, collect_trace=True)
-        for step in out.trace:
+        reverse = trial % 2 == 1
+        trace = trace_sequence(constant(rng.standard_normal((t, d_p))),
+                               params, reverse=reverse)
+        for step in trace:
             f_s = step.by_subtask("f", "s")
             f_r = step.by_subtask("f", "r")
             f_o = step.by_subtask("f", "o")
@@ -215,13 +215,12 @@ def test_criterion_4_direction_symmetry():
         t = int(rng.integers(1, 8))
         params = randomized_cell(rng, trial, d_p, d_h)
         x = rng.standard_normal((t, d_p))
-        rtl = encode_sequence(constant(x), params, Direction.RIGHT_TO_LEFT)
-        ltr = encode_sequence(constant(x[::-1].copy()), params,
-                              Direction.LEFT_TO_RIGHT)
-        for p in SUBTASKS:
-            for field in ("h_tilde", "hidden"):
-                a = rtl.stream(field, p).values
-                b = ltr.stream(field, p).values[::-1]
+        rtl = encode_sequence(constant(x), params, reverse=True)
+        ltr = encode_sequence(constant(x[::-1].copy()), params, reverse=False)
+        for k in range(3):
+            for field in (0, 1):        # h_tilde, hidden
+                a = rtl.values[:, field, k]
+                b = ltr.values[:, field, k][::-1]
                 worst = max(worst, float(np.abs(a - b).max()))
     ok = worst <= 1e-12
     report(4, "direction symmetry", ok, f"max abs err {worst:.1e}")

@@ -11,7 +11,7 @@ from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
 from darter.decoders import (DecoderParams, EntityLogits, RelationLogits,
                              decode_streams, relation_coefficients,
                              threshold_predictions)
-from darter.encoder import SUBTASKS, DamOutput
+from darter.encoder import SUBTASKS
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import JointModel, ModelConfig
 from darter.training import TrainConfig, train
@@ -55,8 +55,7 @@ def oracle_decode(streams, store, prefix="head"):
 
 
 def fake_output(rec, t, d_h, rng):
-    return DamOutput(stacked=rec.leaf(rng.standard_normal((t, 2, 3, d_h))),
-                     trace=None)
+    return rec.leaf(rng.standard_normal((t, 2, 3, d_h)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,8 @@ def test_decode_streams_matches_single_heads():
     out = fake_output(rec, 3, 4, rng)
     e, r = decode_streams([out], DecoderParams.bind(bound, "head"),
                           DecoderParams.bind(bound, "re"), 0.5, 1.0)
-    h = {p: out.stream("h_tilde", p) for p in SUBTASKS}
+    h = {p: ops.index(out, (slice(None), 0, k))
+         for k, p in enumerate(SUBTASKS)}
     e2 = ner_decode(h["s"], h["o"], DecoderParams.bind(bound, "head"))
     r2 = re_decode(h["r"], h["s"], h["o"], DecoderParams.bind(bound, "re"),
                    0.5, 1.0)

@@ -6,8 +6,8 @@ import pytest
 
 import darter.autodiff as ad
 from darter.autodiff import ParamStore, Record, constant
-from darter.encoder import (SUBTASKS, DamParams, Direction, encode_sequence,
-                            encode_stacked, layer_direction)
+from darter.encoder import (SUBTASKS, DamParams, encode_sequence,
+                            encode_stacked, trace_sequence)
 from darter.gradcheck import max_relative_error, numeric_gradients
 
 import ops
@@ -47,15 +47,25 @@ def oracle_params(store, prefix="dam0"):
     return out
 
 
+FIELDS = ("h_tilde", "hidden")
+
+
+def stream_view(out, field, p):
+    """One field's [t, d_h] features of subtask p, as a recorded view of a
+    layer's [t, 2, 3, d_h] output."""
+    return ops.index(out, (slice(None), FIELDS.index(field),
+                           SUBTASKS.index(p)))
+
+
 def stream(out, field, p):
-    return out.stream(field, p).values
+    return out.values[:, FIELDS.index(field), SUBTASKS.index(p)]
 
 
 def projected(x, params):
     """The cell's projections z of every token, [3, t, d_h], as the fused
     layer computes them (read from its trace)."""
-    out = encode_sequence(x, params, collect_trace=True)
-    return constant(np.stack([step.z[:, 0] for step in out.trace], axis=1))
+    trace = trace_sequence(x, params)
+    return constant(np.stack([step.z[:, 0] for step in trace], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +178,15 @@ def test_encode_sequence_matches_straightline_oracle(t, d_p, d_h, seed):
     rec, params = bind(store)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((t, d_p))
-    out = encode_sequence(rec.leaf(x), params, collect_trace=True)
+    out = encode_sequence(rec.leaf(x), params)
+    trace = trace_sequence(rec.leaf(x), params)
 
     ref = oracles.dam_sequence(x.tolist(), oracle_params(store), d_h)
     for p in SUBTASKS:
         npt.assert_allclose(stream(out, "h_tilde", p), ref["h_tilde"][p],
                             atol=1e-12)
         npt.assert_allclose(stream(out, "hidden", p), ref["h"][p], atol=1e-12)
-    for step_idx, step in enumerate(out.trace):
+    for step_idx, step in enumerate(trace):
         assert step.token == step_idx
         for field, key in [("z", "z"), ("f", "f"), ("ctil", "ctil"),
                            ("inter", "inter"), ("a", "a"),
@@ -202,10 +213,10 @@ def test_single_token_directions_agree():
     store = dam_store(14, 3, 4)
     rec, params = bind(store)
     x = rec.leaf(np.random.default_rng(8).standard_normal((1, 3)))
-    ltr = encode_sequence(x, params, Direction.LEFT_TO_RIGHT)
+    ltr = encode_sequence(x, params, reverse=False)
     rec2, params2 = bind(store)
     x2 = rec2.leaf(x.values)
-    rtl = encode_sequence(x2, params2, Direction.RIGHT_TO_LEFT)
+    rtl = encode_sequence(x2, params2, reverse=True)
     for p in SUBTASKS:
         npt.assert_array_equal(stream(ltr, "h_tilde", p),
                                stream(rtl, "h_tilde", p))
@@ -219,10 +230,9 @@ def test_direction_symmetry(seed):
     x = rng.standard_normal((t, d_p))
 
     rec1, params1 = bind(store)
-    rtl = encode_sequence(rec1.leaf(x), params1, Direction.RIGHT_TO_LEFT)
+    rtl = encode_sequence(rec1.leaf(x), params1, reverse=True)
     rec2, params2 = bind(store)
-    ltr_rev = encode_sequence(rec2.leaf(x[::-1]), params2,
-                              Direction.LEFT_TO_RIGHT)
+    ltr_rev = encode_sequence(rec2.leaf(x[::-1]), params2, reverse=False)
     for p in SUBTASKS:
         npt.assert_allclose(stream(rtl, "h_tilde", p),
                             stream(ltr_rev, "h_tilde", p)[::-1],
@@ -269,9 +279,28 @@ def test_encode_sequence_rejects_empty():
 # stacking
 
 def test_layer_directions_alternate():
-    dirs = [layer_direction(i) for i in range(4)]
-    assert dirs == [Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT,
-                    Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT]
+    """Three stacked layers run left-to-right, right-to-left, left-to-right,
+    each reading the previous layer's output whole."""
+    store = ParamStore(36)
+    for k in range(3):
+        DamParams.register(store, f"dam{k}", 3 if k == 0 else 4, 4)
+    x = np.random.default_rng(37).standard_normal((5, 3))
+
+    rec = Record()
+    bound = store.bind(rec)
+    outs = encode_stacked(rec.leaf(x), [DamParams.bind(bound, f"dam{k}")
+                                        for k in range(3)])
+
+    rec2 = Record()
+    bound2 = store.bind(rec2)
+    manual = [rec2.leaf(x)]
+    for k, reverse in enumerate((False, True, False)):
+        manual.append(encode_sequence(manual[-1],
+                                      DamParams.bind(bound2, f"dam{k}"),
+                                      reverse=reverse))
+    assert len(outs) == 3
+    for got, want in zip(outs, manual[1:]):
+        npt.assert_array_equal(got.values, want.values)
 
 
 def test_stacked_single_layer_equals_sequence():
@@ -304,11 +333,11 @@ def test_stacked_two_layers_match_manual_composition():
     rec2 = Record()
     bound2 = store.bind(rec2)
     first = encode_sequence(rec2.leaf(x), DamParams.bind(bound2, "dam0"),
-                            Direction.LEFT_TO_RIGHT)
+                            reverse=False)
     feed = (stream(first, "hidden", "s") + stream(first, "hidden", "r")
             + stream(first, "hidden", "o"))
     second = encode_sequence(rec2.leaf(feed), DamParams.bind(bound2, "dam1"),
-                             Direction.RIGHT_TO_LEFT)
+                             reverse=True)
     for p in SUBTASKS:
         npt.assert_allclose(stream(outs[0], "h_tilde", p),
                             stream(first, "h_tilde", p), atol=1e-15)
@@ -346,7 +375,7 @@ def test_encoder_gradients_finite_differences():
         out = encode_sequence(rec.leaf(x), params)
         total = None
         for p in SUBTASKS:
-            term = ops.sum_all(ops.mul(out.stream("h_tilde", p),
+            term = ops.sum_all(ops.mul(stream_view(out, "h_tilde", p),
                                        constant(w[p])))
             total = term if total is None else ad.add(total, term)
         return rec, total
@@ -360,7 +389,8 @@ def test_encoder_gradients_finite_differences():
     out2 = encode_sequence(rec2.leaf(x), DamParams.bind(params2, "dam0"))
     total2 = None
     for p in SUBTASKS:
-        term = ops.sum_all(ops.mul(out2.stream("h_tilde", p), constant(w[p])))
+        term = ops.sum_all(ops.mul(stream_view(out2, "h_tilde", p),
+                                   constant(w[p])))
         total2 = term if total2 is None else ad.add(total2, term)
     rec2.backward(total2)
     analytic = {name: rec2.grad(t2) for name, t2 in params2.items()}
@@ -375,13 +405,12 @@ def test_encoder_gradients_finite_differences():
 # ---------------------------------------------------------------------------
 # the fused recurrence against its composed reference
 
-def composed_sequence(x, params, direction, interaction):
+def composed_sequence(x, params, reverse, interaction):
     """encode_sequence's recurrence chained from dam_step, node by node;
     returns stacked h_tilde and hidden, [3, t, d_h] in token order."""
     t = x.shape[0]
     z_all = project_inputs(x, params)
-    order = (range(t) if direction is Direction.LEFT_TO_RIGHT
-             else range(t - 1, -1, -1))
+    order = range(t - 1, -1, -1) if reverse else range(t)
     state = DamState.zeros(params.d_h)
     tildes, hiddens = [None] * t, [None] * t
     for i in order:
@@ -393,9 +422,9 @@ def composed_sequence(x, params, direction, interaction):
 
 @pytest.mark.parametrize("t", range(1, 8))
 @pytest.mark.parametrize("interaction", [True, False])
-@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("reverse", [False, True])
 def test_fused_cell_gradients_match_composed_dam_step(t, interaction,
-                                                      direction):
+                                                      reverse):
     d_p, d_h = 3, 4
     seed = 40 + t
     store = dam_store(seed, d_p, d_h)
@@ -408,13 +437,13 @@ def test_fused_cell_gradients_match_composed_dam_step(t, interaction,
         rec, params = bind(store)
         xt = rec.leaf(x)
         if fused:
-            out = encode_sequence(xt, params, direction, interaction)
-            tilde = ops.concat([ops.reshape(out.stream("h_tilde", p),
+            out = encode_sequence(xt, params, reverse, interaction)
+            tilde = ops.concat([ops.reshape(stream_view(out, "h_tilde", p),
                                             (1, t, d_h)) for p in SUBTASKS])
-            hidden = ops.concat([ops.reshape(out.stream("hidden", p),
+            hidden = ops.concat([ops.reshape(stream_view(out, "hidden", p),
                                              (1, t, d_h)) for p in SUBTASKS])
         else:
-            tilde, hidden = composed_sequence(xt, params, direction,
+            tilde, hidden = composed_sequence(xt, params, reverse,
                                               interaction)
         loss = ad.add(ops.sum_all(ops.mul(tilde, constant(w_tilde))),
                       ops.sum_all(ops.mul(hidden, constant(w_hidden))))

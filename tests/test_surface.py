@@ -3,7 +3,7 @@ records the embedding gather, the three fused kernels and the losses' sum;
 the generic operations and the one-head decode path live under `tests/`
 (`ops.py`, beside the composed reference), and nothing in `src/` reads
 them. There is one loss function, one scorer, and no parameter that no
-caller sets."""
+caller sets. The encoder hands on each layer's output tensor itself."""
 
 import ast
 import importlib
@@ -15,12 +15,13 @@ import pytest
 import darter
 import darter.autodiff as ad
 import darter.decoders as decoders
+import darter.encoder as encoder
 import darter.evaluation as evaluation
 import darter.training as training
 from darter import synthetic
 from darter.corpus import (LabelSchema, MatchMode, Vocabulary, gold_entities,
                            gold_relations, load_corpus)
-from darter.encoder import encode_stacked
+from darter.encoder import encode_sequence, encode_stacked
 from darter.model import JointModel, ModelConfig
 from darter.training import TrainConfig, train
 
@@ -58,14 +59,19 @@ def test_a_training_step_records_only_the_live_tags(monkeypatch, variant):
 
 
 def test_the_library_defines_only_the_live_operations():
-    """darter.autodiff's public functions are the seven Tensor operations
-    (the five a training step records, index and affine_const) and the
-    two non-op helpers; darter.decoders keeps one decode path."""
+    """darter.autodiff's public functions are the six Tensor operations
+    (the five a training step records and affine_const) and the two non-op
+    helpers; darter.decoders keeps one decode path, and darter.encoder
+    runs a layer, traces one, or stacks them."""
     assert _public_functions(ad) == {
-        "take", "add", "index", "affine_const", "dam_sequence",
-        "pair_heads", "bce", "constant", "scratch"}
+        "take", "add", "affine_const", "dam_sequence", "pair_heads", "bce",
+        "constant", "scratch"}
     assert _public_functions(decoders) == {
         "relation_coefficients", "decode_streams", "threshold_predictions"}
+    assert _public_functions(encoder) == {
+        "encode_sequence", "trace_sequence", "encode_stacked"}
+    assert not hasattr(encoder, "DamOutput")
+    assert not hasattr(encoder, "Direction")
 
 
 def test_no_library_module_imports_the_test_references():
@@ -105,6 +111,11 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
                                                ("g", required)]
     assert _parameters(encode_stacked) == [
         ("x", required), ("layers", required), ("interaction", True)]
+    assert _parameters(encode_sequence) == [
+        ("x", required), ("params", required), ("reverse", False),
+        ("interaction", True)]
+    assert _parameters(encoder.trace_sequence) == [
+        ("x", required), ("params", required), ("reverse", False)]
     assert issubclass(ad.ShapeError, ad.ContractError)
 
 

@@ -319,6 +319,17 @@ def test_grid_search_single_point():
     assert 0.0 <= result.best.re_f1 <= 1.0
 
 
+@pytest.mark.parametrize("grid", ["alphas", "betas", "gammas", "deltas"])
+def test_grid_search_rejects_an_empty_grid_before_training(monkeypatch, grid):
+    def never(*args, **kwargs):
+        raise AssertionError("trained on an empty grid")
+
+    monkeypatch.setattr(training, "train", never)
+    with pytest.raises(ContractError, match=f"the {grid} grid is empty"):
+        grid_search(tiny_config(), SCHEMA, VOCAB, CORPUS, CORPUS,
+                    TrainConfig(epochs=0), **{grid: ()})
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
