@@ -29,18 +29,15 @@ for k, p in enumerate(SUBTASKS):
 
 # The cross-stream mix is parameter-free: the subject stream receives
 # object-minus-relation, the relation stream object-minus-subject, and the
-# object stream subject-plus-relation. The trace lets us verify that at
-# every token.
+# object stream subject-plus-relation. The trace holds every quantity as
+# one [token, stream, unit] array, which lets us verify that at every token.
 trace = trace_sequence(x, params)
-step = trace[1]
-f_s, f_r, f_o = (step.by_subtask("f", p) for p in SUBTASKS)
-print("\nmix handed to each stream at token 1:")
-print("  s gets o - r, error:",
-      np.abs(step.by_subtask("inter", "s") - (f_o - f_r)).max())
-print("  r gets o - s, error:",
-      np.abs(step.by_subtask("inter", "r") - (f_o - f_s)).max())
-print("  o gets s + r, error:",
-      np.abs(step.by_subtask("inter", "o") - (f_s + f_r)).max())
+f_s, f_r, f_o = trace["f"].swapaxes(0, 1)  # streams in SUBTASKS order
+inter_s, inter_r, inter_o = trace["inter"].swapaxes(0, 1)
+print("\nmix handed to each stream, over all", t, "tokens:")
+print("  s gets o - r, error:", np.abs(inter_s - (f_o - f_r)).max())
+print("  r gets o - s, error:", np.abs(inter_r - (f_o - f_s)).max())
+print("  o gets s + r, error:", np.abs(inter_o - (f_s + f_r)).max())
 
 # Running right-to-left is exactly running left-to-right on the reversed
 # sentence and flipping the outputs back, so one parameter set serves both

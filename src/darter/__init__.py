@@ -26,7 +26,7 @@ from .corpus import (
     split_oot_it,
 )
 from .decoders import PredictionSet, threshold_predictions
-from .evaluation import ErrorTaxonomy, PRF1, evaluate_corpus
+from .evaluation import PRF1, evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig
 from .synthetic import synthetic_corpus, synthetic_paths, synthetic_schema
 from .training import (
@@ -47,7 +47,6 @@ __all__ = [
     "ContractError",
     "CorpusError",
     "Entity",
-    "ErrorTaxonomy",
     "GridSearchResult",
     "JointModel",
     "LabelSchema",

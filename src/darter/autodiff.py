@@ -545,11 +545,11 @@ def pair_heads(layers: Sequence[Tensor],
     """Pair-scoring heads over the same layers in one pass: one node and
     one [t, t, width] probability table per head.
 
-    A head is a tuple (coeffs, w_pair, b_pair, gain, bias, w_out, b_out).
-    It mixes the three h_tilde streams of each [t, 2, 3, w] layer with its
-    coefficient triple (`_MIX_ORDER`); the pair feature of tokens (i, j)
-    concatenates, layer by layer, the features of token i then token j,
-    and is projected by w_pair [2 * n * w, d_h], shifted by b_pair,
+    A head is a tuple (coeffs, w_pair, b_pair, ln_gain, ln_bias, w_out,
+    b_out). It mixes the three h_tilde streams of each [t, 2, 3, w] layer
+    with its coefficient triple (`_MIX_ORDER`); the pair feature of tokens
+    (i, j) concatenates, layer by layer, the features of token i then token
+    j, and is projected by w_pair [2 * n * w, d_h], shifted by b_pair,
     layer-normalized, passed through ELU, mapped by w_out and b_out, and
     squashed by a sigmoid. Every token is projected once as i and once as
     j, and the norm's statistics come from those two sides and one [t, t]
@@ -578,9 +578,10 @@ def pair_heads(layers: Sequence[Tensor],
         [v[:, 0] for v in values], axis=-1)
     feats = np.empty((n_heads, t, n * w))
     sides = np.empty((n_heads, t, 2, d_h))   # each token as i, as j
-    affine = np.empty((n_heads, 3, d_h))     # b_pair, gain, bias
+    affine = np.empty((n_heads, 3, d_h))     # b_pair, ln_gain, ln_bias
     w_ijs, logits_at = [], [0]
-    for h, (coeffs, w_pair, b_pair, gain, bias, w_out, _) in enumerate(heads):
+    for h, (coeffs, w_pair, b_pair, ln_gain, ln_bias, w_out,
+            b_out) in enumerate(heads):
         wv = w_pair.values
         if len(coeffs) != 3 or wv.shape != (2 * n * w, d_h):
             raise ShapeError(f"head {h}: {len(coeffs)} coefficients, w_pair "
@@ -593,8 +594,8 @@ def pair_heads(layers: Sequence[Tensor],
             n * w, 2 * d_h)
         np.dot(feats[h], w_ij, out=sides[h].reshape(t, 2 * d_h))
         w_ijs.append(w_ij)
-        affine[h, 0], affine[h, 1], affine[h, 2] = (b_pair.values,
-                                                    gain.values, bias.values)
+        affine[h, 0], affine[h, 1], affine[h, 2] = (
+            b_pair.values, ln_gain.values, ln_bias.values)
         logits_at.append(logits_at[-1] + t * t * w_out.values.shape[1])
     sides[:, :, 1] += affine[:, None, 0]
     inv = _pair_norm_stats(sides, _NORM_EPS)

@@ -11,6 +11,7 @@ at m".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from .autodiff import ContractError, ParamStore, Tensor, pair_heads
 ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
 
 
-@dataclass
-class DecoderParams:
-    """One head: pair projection, norm affine, and output map."""
+class DecoderParams(NamedTuple):
+    """One head: pair projection, norm affine, and output map, in the
+    order `pair_heads` reads a head's arrays."""
 
     w_pair: Tensor      # [2 * n_streams * d_h, d_h]
     b_pair: Tensor      # [d_h]
@@ -44,12 +45,9 @@ class DecoderParams:
         store.add_uniform(f"{prefix}.w_out", (d_h, width), fan_in=d_h)
         store.add_zeros(f"{prefix}.b_out", (width,))
 
-    @staticmethod
-    def bind(bound: dict[str, Tensor], prefix: str) -> "DecoderParams":
-        return DecoderParams(
-            w_pair=bound[f"{prefix}.w_pair"], b_pair=bound[f"{prefix}.b_pair"],
-            ln_gain=bound[f"{prefix}.ln_gain"], ln_bias=bound[f"{prefix}.ln_bias"],
-            w_out=bound[f"{prefix}.w_out"], b_out=bound[f"{prefix}.b_out"])
+    @classmethod
+    def bind(cls, bound: dict[str, Tensor], prefix: str) -> "DecoderParams":
+        return cls(*(bound[f"{prefix}.{kind}"] for kind in cls._fields))
 
 
 @dataclass
@@ -103,9 +101,8 @@ def decode_streams(layers: list[Tensor], ner_head: DecoderParams,
     if not layers:
         raise ContractError("decode_streams needs at least one encoder output")
     re_coeffs = relation_coefficients(alpha, beta, entity_features)
-    entities, relations = pair_heads(layers, [
-        (coeffs, h.w_pair, h.b_pair, h.ln_gain, h.ln_bias, h.w_out, h.b_out)
-        for coeffs, h in ((ENTITY_COEFFS, ner_head), (re_coeffs, re_head))])
+    entities, relations = pair_heads(layers, [(ENTITY_COEFFS, *ner_head),
+                                              (re_coeffs, *re_head)])
     return EntityLogits(entities), RelationLogits(relations)
 
 

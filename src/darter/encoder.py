@@ -16,7 +16,7 @@ decoder heads read whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +33,10 @@ _MIX = np.array([[0.0, -1.0, 1.0],
                  [-1.0, 0.0, 1.0],
                  [1.0, 1.0, 0.0]])
 
-_PARAM_KINDS = ("w_z", "b_z", "w_f", "b_f", "w_c", "b_c", "w_a", "b_a")
 
-
-@dataclass
-class DamParams:
-    """One layer's cell parameters, stacked along a leading subtask axis.
+class DamParams(NamedTuple):
+    """One layer's cell parameters, stacked along a leading subtask axis,
+    in `dam_sequence`'s argument order.
 
     w_z: [3, d_in, d_h]; w_f, w_c, w_a: [3, d_h, d_h]; biases keep a
     broadcast row axis, [3, 1, d_h].
@@ -73,28 +71,9 @@ class DamParams:
         for kind in ("b_f", "b_c", "b_a"):
             store.add_zeros(f"{prefix}.{kind}", (3, 1, d_h))
 
-    @staticmethod
-    def bind(bound: dict[str, Tensor], prefix: str) -> "DamParams":
-        return DamParams(**{kind: bound[f"{prefix}.{kind}"]
-                            for kind in _PARAM_KINDS})
-
-
-@dataclass
-class TraceStep:
-    """Numpy snapshots of one token step, for inspection and tests."""
-
-    token: int
-    z: np.ndarray
-    f: np.ndarray
-    ctil: np.ndarray
-    inter: np.ndarray
-    a: np.ndarray
-    h_tilde: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
-
-    def by_subtask(self, field: str, p: str) -> np.ndarray:
-        return getattr(self, field)[SUBTASKS.index(p), 0]
+    @classmethod
+    def bind(cls, bound: dict[str, Tensor], prefix: str) -> "DamParams":
+        return cls(*(bound[f"{prefix}.{kind}"] for kind in cls._fields))
 
 
 def _layer(x: Tensor, params: DamParams, reverse: bool,
@@ -103,9 +82,8 @@ def _layer(x: Tensor, params: DamParams, reverse: bool,
     activations it saves."""
     if x.values.shape[0] < 1:
         raise ContractError("cannot encode an empty sentence")
-    return dam_sequence(x, params.w_z, params.b_z, params.w_f, params.b_f,
-                        params.w_c, params.b_c, params.w_a, params.b_a,
-                        reverse=reverse, mix=_MIX if interaction else None)
+    return dam_sequence(x, *params, reverse=reverse,
+                        mix=_MIX if interaction else None)
 
 
 def encode_sequence(x: Tensor, params: DamParams, reverse: bool = False,
@@ -123,29 +101,22 @@ def encode_sequence(x: Tensor, params: DamParams, reverse: bool = False,
 
 
 def trace_sequence(x: Tensor, params: DamParams,
-                   reverse: bool = False) -> list[TraceStep]:
-    """One TraceStep per token of an interacting cell's run, in visiting
-    order, every field [3, 1, d_h] as a single composed step sees it, read
-    from the activations the fused layer saves; f = (z + b_f) + h_prev @
-    w_f, which the layer never forms alone, is computed here."""
+                   reverse: bool = False) -> dict[str, np.ndarray]:
+    """An interacting cell's run, one [t, 3, d_h] array per quantity in
+    token order: z, f, ctil, inter, a, h_tilde, c and h, read from the
+    activations the fused layer saves; f = (z + b_f) + h_prev @ w_f, which
+    the layer never forms alone, and inter = _MIX @ f are computed here."""
     out, acts = _layer(x, params, reverse, True)
     t, _, _, d_h = out.shape
     h, zero = out.values[:, 1], np.zeros((1, 3, d_h))
     h_in = np.concatenate((h[1:], zero) if reverse else (zero, h[:-1]))
     f = acts["z"] + params.b_f.values + np.matmul(h_in.transpose(1, 0, 2),
                                                   params.w_f.values)
-    rows = dict(acts, z=acts["z"].transpose(1, 0, 2), f=f.transpose(1, 0, 2),
-                h_tilde=out.values[:, 0], h=h)
-
-    def at(key: str, i: int) -> np.ndarray:
-        if key == "inter":
-            return (_MIX @ rows["f"][i].reshape(3, d_h)).reshape(3, 1, d_h)
-        return rows[key][i].reshape(3, 1, d_h).copy()
-
-    order = range(t - 1, -1, -1) if reverse else range(t)
-    return [TraceStep(i, *(at(key, i) for key in (
-                "z", "f", "ctil", "inter", "a", "h_tilde", "c", "h")))
-            for i in order]
+    f = f.transpose(1, 0, 2)
+    ctil, a, c = (acts[key].reshape(t, 3, d_h) for key in ("ctil", "a", "c"))
+    return {"z": acts["z"].transpose(1, 0, 2), "f": f, "ctil": ctil,
+            "inter": _MIX @ f, "a": a, "h_tilde": out.values[:, 0], "c": c,
+            "h": h}
 
 
 def encode_stacked(x: Tensor, layers: list[DamParams],

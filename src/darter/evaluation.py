@@ -9,6 +9,7 @@ prediction or miss relates to gold spans, types, and anchor pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .autodiff import ContractError
@@ -16,7 +17,6 @@ from .corpus import (LabelSchema, MatchMode, Sentence, entity_triple,
                      gold_entities, gold_relations, relation_anchor)
 
 __all__ = [
-    "ErrorTaxonomy",
     "PRF1",
     "evaluate_corpus",
     "macro_f1",
@@ -95,39 +95,18 @@ def macro_f1(per_type: list[PRF1]) -> float:
 # error taxonomy
 
 
-@dataclass(frozen=True)
-class ErrorTaxonomy:
-    """Per-mention tallies of how predictions relate to gold.
-
-    Entities: ``et`` span and type both correct; ``en`` span correct, type
-    wrong; ``et_np`` gold span never predicted.  Relations: ``sor`` triple
-    correct; ``son`` anchor pair correct, type wrong; ``sor_np`` gold anchor
-    pair never predicted.  Joint: ``etsor`` correct triple whose two gold
-    entities were also predicted correctly; ``etson`` wrong-type pair whose
-    gold entities were predicted correctly.
-    """
-
-    et: int = 0
-    en: int = 0
-    et_np: int = 0
-    sor: int = 0
-    son: int = 0
-    sor_np: int = 0
-    etsor: int = 0
-    etson: int = 0
-
-    def __add__(self, other: "ErrorTaxonomy") -> "ErrorTaxonomy":
-        return ErrorTaxonomy(*(getattr(self, f) + getattr(other, f)
-                               for f in self.__dataclass_fields__))
-
-    def to_json(self) -> dict:
-        return {"ET": self.et, "EN": self.en, "ET_NP": self.et_np,
-                "SOR": self.sor, "SON": self.son, "SOR_NP": self.sor_np,
-                "ETSOR": self.etsor, "ETSON": self.etson}
+# The report's taxonomy keys, per mention. Entities: ET span and type both
+# correct; EN span correct, type wrong; ET_NP gold span never predicted.
+# Relations: SOR triple correct; SON anchor pair correct, type wrong; SOR_NP
+# gold anchor pair never predicted. Joint: ETSOR correct triple whose two
+# gold entities were also predicted correctly; ETSON wrong-type pair whose
+# gold entities were predicted correctly.
+_TAXONOMY_KEYS = ("ET", "EN", "ET_NP", "SOR", "SON", "SOR_NP", "ETSOR",
+                  "ETSON")
 
 
 def _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence: Sentence,
-              schema: LabelSchema, mode: MatchMode) -> ErrorTaxonomy:
+              schema: LabelSchema, mode: MatchMode) -> Counter:
     gold_spans = {(i, j) for i, j, _ in gold_e}
     pred_spans = {(i, j) for i, j, _ in pred_e}
     et = len(pred_e & gold_e)
@@ -167,8 +146,8 @@ def _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence: Sentence,
             if entities_predicted(by_pair[(i, m)]):
                 etson += 1
 
-    return ErrorTaxonomy(et=et, en=en, et_np=et_np, sor=sor, son=son,
-                         sor_np=sor_np, etsor=etsor, etson=etson)
+    return Counter(ET=et, EN=en, ET_NP=et_np, SOR=sor, SON=son,
+                   SOR_NP=sor_np, ETSOR=etsor, ETSON=etson)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +174,7 @@ def evaluate_corpus(sentences, predictions, schema: LabelSchema,
             f"{len(sentences)} sentences but {len(predictions)} predictions")
     ner_types = [PRF1() for _ in schema.entity_types]
     re_types = [PRF1() for _ in schema.relation_types]
-    taxonomy = ErrorTaxonomy()
+    taxonomy = Counter()
     # sentences, entity and relation micro counts of the OOT (no gold
     # relation) and IT subsets; the corpus's micro counts are their sums
     subsets = {"oot": [0, PRF1(), PRF1()], "it": [0, PRF1(), PRF1()]}
@@ -236,5 +215,5 @@ def evaluate_corpus(sentences, predictions, schema: LabelSchema,
         **{key: {"n_sentences": n, "ner": {"micro": ner.to_json()},
                  "re": {"micro": re.to_json()}}
            for key, (n, ner, re) in subsets.items()},
-        "error_taxonomy": taxonomy.to_json(),
+        "error_taxonomy": {key: taxonomy[key] for key in _TAXONOMY_KEYS},
     }

@@ -9,8 +9,8 @@ per-layer streams side by side.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 from .autodiff import ParamStore, Record, Tensor, take
@@ -38,13 +38,15 @@ def check_types(config, integers=(), reals=(), flags=()) -> None:
     """Check the types of a frozen config's fields, naming the first bad
     one in a ConfigError: `integers` hold ints (an integral float becomes
     its int), `reals` finite numbers, `flags` booleans. A boolean or a
-    string is never a number."""
+    string is never a number, and no number lies beyond float range."""
     for name in integers + reals:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not abs(value) <= sys.float_info.max:
+            got = ("an integer beyond float range"
+                   if isinstance(value, int) else repr(value))
+            raise ConfigError(f"{name} must be finite, got {got}")
         if name in integers:
             if value != int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -316,7 +316,7 @@ def checked(where: str, make, *args, **kwargs):
     `where`."""
     try:
         return make(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -341,8 +341,12 @@ def load_checkpoint(path) -> JointModel:
     for name, current in model.store.items():
         where = f"{path}: params.{name}"
         shape = _field(saved[name], "shape", f"{where}.")
-        values = checked(where, np.array, _field(saved[name], "data",
-                                                 f"{where}."), np.float64)
+        data = _field(saved[name], "data", f"{where}.")
+        # null passes here, to be reported with NaN below
+        if not isinstance(data, list) or not set(map(type, data)) <= {
+                float, int, type(None)}:
+            raise ConfigError(f"{where}: data must be a list of numbers")
+        values = checked(where, np.array, data, np.float64)
         if not isinstance(shape, list) or tuple(shape) != current.shape \
                 or values.size != current.size:
             raise ConfigError(f"{where}: shape {shape} with {values.size} "

@@ -151,15 +151,13 @@ def test_criterion_2_cross_stream_mixing_identities():
         reverse = trial % 2 == 1
         trace = trace_sequence(constant(rng.standard_normal((t, d_p))),
                                params, reverse=reverse)
-        for step in trace:
-            f_s = step.by_subtask("f", "s")
-            f_r = step.by_subtask("f", "r")
-            f_o = step.by_subtask("f", "o")
-            for p, want in (("s", f_o - f_r), ("r", f_o - f_s),
-                            ("o", f_s + f_r)):
-                got = step.by_subtask("inter", p)
-                worst = max(worst, float(np.abs(got - want).max()))
-                checked += 1
+        f_s, f_r, f_o = (trace["f"][:, SUBTASKS.index(p)]
+                         for p in ("s", "r", "o"))
+        for p, want in (("s", f_o - f_r), ("r", f_o - f_s),
+                        ("o", f_s + f_r)):
+            got = trace["inter"][:, SUBTASKS.index(p)]
+            worst = max(worst, float(np.abs(got - want).max()))
+            checked += t
     ok = worst <= 1e-12
     report(2, "cross-stream mixing identities", ok,
            f"{checked} token mixes, max abs err {worst:.1e}")

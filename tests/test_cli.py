@@ -697,6 +697,83 @@ def test_a_model_too_large_to_build_is_exit_2(tmp_path, capsys, command,
     assert not (tmp_path / "grid.json").exists()
 
 
+BEYOND_FLOAT = 10 ** 400   # a JSON integer no float64 holds
+
+
+@pytest.mark.parametrize("section,key", [
+    *(("model", key) for key in ("n_layers", "d_p", "d_h", "seed", "alpha",
+                                 "beta")),
+    *(("train", key) for key in ("lr", "epochs", "batch_size", "seed",
+                                 "clamp_eps")),
+    *(("loss", key) for key in ("gamma", "delta")),
+])
+def test_a_run_config_integer_beyond_float_range_is_exit_2(tmp_path, capsys,
+                                                           section, key):
+    """Used to escape as OverflowError from math.isfinite."""
+    setup_tree(tmp_path)
+    entries = train_entries()
+    entries.setdefault(section, {})[key] = BEYOND_FLOAT
+    config = config_file(tmp_path, **entries)
+    assert main(["train", "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: {section}: {key} must be finite, got an integer "
+        f"beyond float range\n")
+    assert not (tmp_path / "model.json").exists()
+
+
+def _edited_checkpoint(tmp_path, edit) -> str:
+    """A zero model's checkpoint after edit(obj), and an eval config that
+    reads it."""
+    _zero_checkpoint(tmp_path)
+    obj = json.loads((tmp_path / "zero.json").read_text())
+    edit(obj)
+    (tmp_path / "zero.json").write_text(json.dumps(obj))
+    return config_file(tmp_path, checkpoint="zero.json",
+                       test_corpus="dev.jsonl", input_corpus="dev.jsonl",
+                       report="report.json", predictions="pred.jsonl")
+
+
+@pytest.mark.parametrize("field,edit,message", [
+    ("config", lambda obj: obj["config"].update(d_p=BEYOND_FLOAT),
+     "config: d_p must be finite, got an integer beyond float range"),
+    ("config", lambda obj: obj["config"].update(alpha=-BEYOND_FLOAT),
+     "config: alpha must be finite, got an integer beyond float range"),
+    ("data", lambda obj: obj["params"]["re.w_out"]["data"].__setitem__(
+        0, BEYOND_FLOAT),
+     "params.re.w_out: int too large to convert to float"),
+], ids=["config.d_p", "config.alpha", "params.data"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_checkpoint_integer_beyond_float_range_is_exit_2(tmp_path, capsys,
+                                                           command, field,
+                                                           edit, message):
+    """Used to escape as OverflowError from math.isfinite or np.array."""
+    config = _edited_checkpoint(tmp_path, edit)
+    assert main([command, "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'zero.json'}: {message}\n")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("values", [["0.5"], [True], [0.5, False]])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_numbers_written_as_strings_or_booleans_are_exit_2(
+        tmp_path, capsys, command, values):
+    """np.array(data, np.float64) read "0.5" as 0.5 and true as 1.0."""
+
+    def edit(obj):
+        data = obj["params"]["re.w_out"]["data"]
+        data[:len(values)] = values
+
+    config = _edited_checkpoint(tmp_path, edit)
+    assert main([command, "--config", config]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'zero.json'}: params.re.w_out: data must be a "
+        f"list of numbers\n")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
 def test_missing_required_key_names_the_config(tmp_path, capsys):
     setup_tree(tmp_path)
     entries = train_entries()

@@ -64,8 +64,7 @@ def stream(out, field, p):
 def projected(x, params):
     """The cell's projections z of every token, [3, t, d_h], as the fused
     layer computes them (read from its trace)."""
-    trace = trace_sequence(x, params)
-    return constant(np.stack([step.z[:, 0] for step in trace], axis=1))
+    return constant(trace_sequence(x, params)["z"].transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +185,12 @@ def test_encode_sequence_matches_straightline_oracle(t, d_p, d_h, seed):
         npt.assert_allclose(stream(out, "h_tilde", p), ref["h_tilde"][p],
                             atol=1e-12)
         npt.assert_allclose(stream(out, "hidden", p), ref["h"][p], atol=1e-12)
-    for step_idx, step in enumerate(trace):
-        assert step.token == step_idx
-        for field, key in [("z", "z"), ("f", "f"), ("ctil", "ctil"),
-                           ("inter", "inter"), ("a", "a"),
-                           ("h_tilde", "h_tilde"), ("c", "c"), ("h", "h")]:
-            for p in SUBTASKS:
-                npt.assert_allclose(step.by_subtask(field, p),
-                                    ref[key][p][step_idx], atol=1e-12,
-                                    err_msg=f"{field}/{p} at token {step_idx}")
+    for i in range(t):
+        for field in ("z", "f", "ctil", "inter", "a", "h_tilde", "c", "h"):
+            for k, p in enumerate(SUBTASKS):
+                npt.assert_allclose(trace[field][i, k], ref[field][p][i],
+                                    atol=1e-12,
+                                    err_msg=f"{field}/{p} at token {i}")
 
 
 def test_encode_sequence_zero_params_all_zero():

@@ -9,9 +9,9 @@ from darter.autodiff import ContractError
 from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
                            Sentence)
 from darter.decoders import PredictionSet
-from darter.evaluation import (ErrorTaxonomy, PRF1, evaluate_corpus,
-                               macro_f1, per_type_scores,
-                               project_entity_triples, score_sets)
+from darter.evaluation import (PRF1, evaluate_corpus, macro_f1,
+                               per_type_scores, project_entity_triples,
+                               score_sets)
 
 from fixtures import adversarial_fixture
 
@@ -133,10 +133,18 @@ def test_taxonomy_wrong_relation_type_needs_entities_for_joint_credit():
 
 
 def test_taxonomy_addition():
-    a = ErrorTaxonomy(et=1, son=2)
-    b = ErrorTaxonomy(et=3, sor_np=1)
-    total = a + b
-    assert total.et == 4 and total.son == 2 and total.sor_np == 1
+    """A two-sentence corpus's taxonomy is the key-wise sum of its
+    sentences' one-sentence reports."""
+    cases = [(PERFECT, {(0, 0, 2)}, set()),
+             (PERFECT, {(0, 0, 0), (1, 1, 1)}, {(0, 1, 1)})]
+    first, second = (scored(*case)["error_taxonomy"] for case in cases)
+    total = evaluate_corpus(
+        [sentence for sentence, _, _ in cases],
+        [PredictionSet(frozenset(e), frozenset(r)) for _, e, r in cases],
+        SCHEMA, MatchMode.EXACT)["error_taxonomy"]
+    assert list(total) == list(first) == list(second)
+    assert total == {key: first[key] + second[key] for key in first}
+    assert (first["EN"], second["ET"], second["SON"]) == (1, 2, 1)
 
 
 # ---------------------------------------------------------------------------

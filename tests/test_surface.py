@@ -10,6 +10,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import darter
@@ -19,6 +20,7 @@ import darter.encoder as encoder
 import darter.evaluation as evaluation
 import darter.training as training
 from darter import synthetic
+from darter.autodiff import ParamStore, constant
 from darter.corpus import (LabelSchema, MatchMode, Vocabulary, gold_entities,
                            gold_relations, load_corpus)
 from darter.encoder import encode_sequence, encode_stacked
@@ -72,6 +74,47 @@ def test_the_library_defines_only_the_live_operations():
         "encode_sequence", "trace_sequence", "encode_stacked"}
     assert not hasattr(encoder, "DamOutput")
     assert not hasattr(encoder, "Direction")
+    assert not hasattr(encoder, "TraceStep")
+    assert not hasattr(evaluation, "ErrorTaxonomy")
+    assert "ErrorTaxonomy" not in darter.__all__
+    assert "ErrorTaxonomy" not in evaluation.__all__
+
+
+def _head_unpacking() -> list[str]:
+    """The names `pair_heads` unpacks each head tuple into."""
+    for node in ast.walk(ast.parse(inspect.getsource(ad.pair_heads))):
+        if (isinstance(node, ast.For)
+                and ast.unparse(node.iter) == "enumerate(heads)"):
+            return [name.id for name in node.target.elts[1].elts]
+    raise AssertionError("pair_heads no longer loops over enumerate(heads)")
+
+
+def test_parameter_structs_list_their_kernel_arguments_in_order():
+    """A layer's and a head's parameters are plain tuples that `*params`
+    hands to their kernel. w_f, w_c and w_a share one shape, and so do the
+    four cell biases, so a swapped field would pass every shape check."""
+    required = inspect.Parameter.empty
+    kernel = [name for name, default in _parameters(ad.dam_sequence)
+              if default is required]
+    assert kernel[0] == "x"
+    assert encoder.DamParams._fields == tuple(kernel[1:])
+    assert _head_unpacking() == ["coeffs", *decoders.DecoderParams._fields]
+
+
+def test_the_trace_is_one_token_ordered_array_per_quantity():
+    store = ParamStore(3)
+    encoder.DamParams.register(store, "dam", 2, 4)
+    params = encoder.DamParams.bind(store.untracked(), "dam")
+    x = constant(np.random.default_rng(4).standard_normal((5, 2)))
+    for reverse in (False, True):
+        trace = encoder.trace_sequence(x, params, reverse=reverse)
+        assert list(trace) == ["z", "f", "ctil", "inter", "a", "h_tilde",
+                               "c", "h"]
+        assert all(type(value) is np.ndarray and value.shape == (5, 3, 4)
+                   for value in trace.values())
+        out = encode_sequence(x, params, reverse=reverse).values
+        assert np.array_equal(trace["h_tilde"], out[:, 0])
+        assert np.array_equal(trace["h"], out[:, 1])
 
 
 def test_no_library_module_imports_the_test_references():
