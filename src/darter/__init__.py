@@ -23,7 +23,6 @@ from .corpus import (
     Vocabulary,
     load_corpus,
     save_corpus,
-    split_oot_it,
 )
 from .decoders import PredictionSet, threshold_predictions
 from .evaluation import PRF1, evaluate_corpus
@@ -71,7 +70,6 @@ __all__ = [
     "load_corpus",
     "save_checkpoint",
     "save_corpus",
-    "split_oot_it",
     "synthetic_corpus",
     "synthetic_paths",
     "synthetic_schema",

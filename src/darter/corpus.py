@@ -1,4 +1,4 @@
-"""Sentence corpora: label schemas, JSON-lines I/O, gold tables, and splits.
+"""Sentence corpora: label schemas, JSON-lines I/O, gold triples and tables.
 
 A corpus file holds one JSON object per line with fields ``tokens``,
 ``entities`` (objects with ``start``, ``end``, ``type``; zero-based,
@@ -39,7 +39,6 @@ __all__ = [
     "save_corpus",
     "sentence_from_json",
     "sentence_to_json",
-    "split_oot_it",
     "write_atomically",
     "write_json",
 ]
@@ -376,14 +375,7 @@ class Vocabulary:
 
 
 # ---------------------------------------------------------------------------
-# splits, projections, gold tables
-
-
-def split_oot_it(sentences):
-    """Partition into sentences without relations (OOT) and with (IT)."""
-    without = [s for s in sentences if not s.relations]
-    with_ = [s for s in sentences if s.relations]
-    return without, with_
+# projections and gold tables
 
 
 def entity_triple(entity: Entity, schema: LabelSchema,

@@ -16,14 +16,7 @@ from .autodiff import ContractError
 from .corpus import (LabelSchema, MatchMode, Sentence, entity_triple,
                      gold_entities, gold_relations, relation_anchor)
 
-__all__ = [
-    "PRF1",
-    "evaluate_corpus",
-    "macro_f1",
-    "per_type_scores",
-    "project_entity_triples",
-    "score_sets",
-]
+__all__ = ["PRF1", "evaluate_corpus"]
 
 
 @dataclass(frozen=True)
@@ -31,10 +24,6 @@ class PRF1:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def __add__(self, other: "PRF1") -> "PRF1":
-        return PRF1(self.tp + other.tp, self.fp + other.fp,
-                    self.fn + other.fn)
 
     @property
     def precision(self) -> float:
@@ -56,39 +45,6 @@ class PRF1:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn,
                 "precision": self.precision, "recall": self.recall,
                 "f1": self.f1}
-
-
-def score_sets(pred: frozenset, gold: frozenset) -> PRF1:
-    return PRF1(tp=len(pred & gold), fp=len(pred - gold),
-                fn=len(gold - pred))
-
-
-def project_entity_triples(triples, mode: MatchMode) -> frozenset:
-    """Reduce predicted entity cells to tail positions in tail mode."""
-    if mode is MatchMode.TAIL:
-        return frozenset((j, j, k) for _, j, k in triples)
-    return frozenset(triples)
-
-
-def per_type_scores(pred: frozenset, gold: frozenset,
-                    n_types: int) -> list[PRF1]:
-    """Split triple sets by their trailing type id and score each slice.
-
-    False positives land on the predicted type, false negatives on the
-    gold type.
-    """
-    out = []
-    for type_id in range(n_types):
-        out.append(score_sets(
-            frozenset(tr for tr in pred if tr[2] == type_id),
-            frozenset(tr for tr in gold if tr[2] == type_id)))
-    return out
-
-
-def macro_f1(per_type: list[PRF1]) -> float:
-    if not per_type:
-        raise ContractError("macro F1 needs at least one type")
-    return sum(cell.f1 for cell in per_type) / len(per_type)
 
 
 # ---------------------------------------------------------------------------
@@ -172,48 +128,50 @@ def evaluate_corpus(sentences, predictions, schema: LabelSchema,
     if len(sentences) != len(predictions):
         raise ContractError(
             f"{len(sentences)} sentences but {len(predictions)} predictions")
-    ner_types = [PRF1() for _ in schema.entity_types]
-    re_types = [PRF1() for _ in schema.relation_types]
-    taxonomy = Counter()
-    # sentences, entity and relation micro counts of the OOT (no gold
-    # relation) and IT subsets; the corpus's micro counts are their sums
-    subsets = {"oot": [0, PRF1(), PRF1()], "it": [0, PRF1(), PRF1()]}
+    # each triple once, keyed (subset, task, tp/fp/fn, its own type id): a
+    # false positive counts for the predicted type, a miss for the gold one
+    counts, n_sentences, taxonomy = Counter(), Counter(), Counter()
     for sentence, pred in zip(sentences, predictions):
-        pred_e = project_entity_triples(pred.entities, mode)
+        pred_e = frozenset((j, j, k) for _, j, k in pred.entities) \
+            if mode is MatchMode.TAIL else frozenset(pred.entities)
         gold_e = gold_entities(sentence, schema, mode)
         pred_r = frozenset(pred.relations)
         if mode is MatchMode.TAIL and sentence.mode is MatchMode.EXACT:
             pred_r = _tail_anchored(pred_r, pred.entities)
         gold_r = gold_relations(sentence, schema, mode)
-        counts = subsets["it" if sentence.relations else "oot"]
-        counts[0] += 1
-        counts[1] += score_sets(pred_e, gold_e)
-        counts[2] += score_sets(pred_r, gold_r)
-        for k, cell in enumerate(per_type_scores(pred_e, gold_e, schema.u)):
-            ner_types[k] += cell
-        for k, cell in enumerate(per_type_scores(pred_r, gold_r, schema.v)):
-            re_types[k] += cell
+        subset = "it" if sentence.relations else "oot"
+        n_sentences[subset] += 1
+        for task, pred_t, gold_t in (("ner", pred_e, gold_e),
+                                     ("re", pred_r, gold_r)):
+            for outcome, triples in (("tp", pred_t & gold_t),
+                                     ("fp", pred_t - gold_t),
+                                     ("fn", gold_t - pred_t)):
+                counts.update((subset, task, outcome, k)
+                              for _, _, k in triples)
         taxonomy += _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence,
                               schema, mode)
 
-    oot, it = subsets["oot"], subsets["it"]
+    def cell(task, subsets=("oot", "it"), type_id=None) -> PRF1:
+        return PRF1(*(sum(n for (s, t, o, k), n in counts.items()
+                          if t == task and o == outcome and s in subsets
+                          and (type_id is None or k == type_id))
+                      for outcome in ("tp", "fp", "fn")))
+
+    def task_report(task, names) -> dict:
+        per_type = [cell(task, type_id=k) for k in range(len(names))]
+        return {"micro": cell(task).to_json(),
+                "macro_f1": sum(c.f1 for c in per_type) / len(per_type),
+                "per_type": {name: c.to_json()
+                             for name, c in zip(names, per_type)}}
+
     return {
         "match_mode": mode.value,
         "n_sentences": len(sentences),
-        "ner": {
-            "micro": (oot[1] + it[1]).to_json(),
-            "macro_f1": macro_f1(ner_types),
-            "per_type": {name: cell.to_json() for name, cell
-                         in zip(schema.entity_types, ner_types)},
-        },
-        "re": {
-            "micro": (oot[2] + it[2]).to_json(),
-            "macro_f1": macro_f1(re_types),
-            "per_type": {name: cell.to_json() for name, cell
-                         in zip(schema.relation_types, re_types)},
-        },
-        **{key: {"n_sentences": n, "ner": {"micro": ner.to_json()},
-                 "re": {"micro": re.to_json()}}
-           for key, (n, ner, re) in subsets.items()},
+        "ner": task_report("ner", schema.entity_types),
+        "re": task_report("re", schema.relation_types),
+        **{subset: {"n_sentences": n_sentences[subset],
+                    "ner": {"micro": cell("ner", (subset,)).to_json()},
+                    "re": {"micro": cell("re", (subset,)).to_json()}}
+           for subset in ("oot", "it")},
         "error_taxonomy": {key: taxonomy[key] for key in _TAXONOMY_KEYS},
     }

@@ -17,8 +17,8 @@ import numpy as np
 
 from .autodiff import (ContractError, Tensor, _aligned, _lines, add, bce,
                        scratch)
-from .corpus import (LabelSchema, MatchMode, Vocabulary, entity_mask,
-                     gold_tables, read_json, write_json)
+from .corpus import (LabelSchema, Vocabulary, entity_mask, gold_tables,
+                     read_json, write_json)
 from .decoders import ALPHA_BETA_GRID
 from .evaluation import evaluate_corpus
 from .model import ConfigError, JointModel, ModelConfig, check_types
@@ -46,7 +46,7 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite."""
+    """Raised when the loss stops being finite or Adam's moments overflow."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ class Adam:
         v_hat = v / (1 - _BETA2 ** t)
         p = p - (lr * m_hat) / (sqrt(v_hat) + _EPS)
 
-    so the result is the same, bit for bit.
+    so the result is the same, bit for bit. A gradient so large that the
+    update overflows raises FloatingPointError.
     """
 
     def __init__(self, store, lr: float):
@@ -138,21 +139,22 @@ class Adam:
         m, v = self._m, self._v
         row = _lines(m.size)             # each half on whole cache lines
         work, denom = scratch("adam", 2 * row).reshape(2, row)[:, :m.size]
-        m *= _BETA1
-        np.multiply(g, 1.0 - _BETA1, out=work)
-        m += work
-        v *= _BETA2
-        np.multiply(g, 1.0 - _BETA2, out=work)
-        work *= g
-        v += work
-        np.divide(m, 1.0 - _BETA1 ** t, out=work)
-        work *= self.lr
-        np.divide(v, 1.0 - _BETA2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += _EPS
-        work /= denom
-        flat = self.store.flat
-        flat -= work
+        with np.errstate(over="raise"):
+            m *= _BETA1
+            np.multiply(g, 1.0 - _BETA1, out=work)
+            m += work
+            v *= _BETA2
+            np.multiply(g, 1.0 - _BETA2, out=work)
+            work *= g
+            v += work
+            np.divide(m, 1.0 - _BETA1 ** t, out=work)
+            work *= self.lr
+            np.divide(v, 1.0 - _BETA2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += _EPS
+            work /= denom
+            flat = self.store.flat
+            flat -= work
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,12 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
                     grads += own
             if len(batch) > 1:
                 grads *= 1.0 / len(batch)
-            optimizer.step(grads)
+            try:
+                optimizer.step(grads)
+            except FloatingPointError:
+                raise TrainingDiverged(
+                    f"gradient overflow in the Adam step at epoch {epoch}, "
+                    f"sentence {int(idx)}") from None
         history.append(epoch_loss / len(prepared))
     return history
 

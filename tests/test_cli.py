@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,23 @@ def test_divergence_is_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("darter.cli.train", explode)
     assert main(["train", "--config", config]) == 1
     assert "epoch 0" in capsys.readouterr().err
+
+
+def test_gradient_overflow_is_exit_1(tmp_path, capsys):
+    """A loss weight so large that Adam's squared gradient overflows stops
+    training with exit 1 naming the epoch and sentence: no numpy warning,
+    no checkpoint and no history."""
+    setup_tree(tmp_path)
+    config = config_file(tmp_path, **train_entries(
+        loss={"gamma": 1e300, "delta": 1.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: gradient overflow in the Adam step at "
+                        r"epoch 0, sentence \d+\n", err), err
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "history.json").exists()
 
 
 def test_history_into_a_missing_directory_is_exit_1(tmp_path, capsys):
@@ -755,11 +773,13 @@ def test_a_checkpoint_integer_beyond_float_range_is_exit_2(tmp_path, capsys,
     assert not (tmp_path / "pred.jsonl").exists()
 
 
-@pytest.mark.parametrize("values", [["0.5"], [True], [0.5, False]])
+@pytest.mark.parametrize("values", [["0.5"], [True], [0.5, False], [[]],
+                                    [{}], [[1]], [{"k": 1}]])
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_checkpoint_numbers_written_as_strings_or_booleans_are_exit_2(
         tmp_path, capsys, command, values):
-    """np.array(data, np.float64) read "0.5" as 0.5 and true as 1.0."""
+    """np.array(data, np.float64) read "0.5" as 0.5 and true as 1.0; a
+    list or object in place of a number is refused the same way."""
 
     def edit(obj):
         data = obj["params"]["re.w_out"]["data"]
@@ -868,16 +888,23 @@ def test_module_help_lists_exactly_the_command_flags(command, flags):
 # ---------------------------------------------------------------------------
 # mutation fuzzing: every bad input exits 2 with a message naming the file
 
-# replacement values of every JSON type; no size here allocates much before
-# model.check_size could refuse it
+# replacement values of every JSON type, and an integer beyond float range;
+# no size here allocates much before model.check_size could refuse it
 _MUTANT_VALUES = (None, True, False, "x", 2.5, -1, 0, 3, [], {}, [1],
-                  {"k": 1})
+                  {"k": 1}, BEYOND_FLOAT)
+
+
+def _float_number(value) -> bool:
+    """Whether a JSON value reads as a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _mutate(rng, doc):
     """doc with one type, deletion or extra-key mutation at a node chosen
     by a random walk from the root (children of larger containers are not
-    favoured over shallow nodes); returns the new document and a label."""
+    favoured over shallow nodes); returns the new document, the kind of
+    mutation and the path to the node."""
     doc = json.loads(json.dumps(doc))
     parent, key, node, path = None, None, doc, []
     while isinstance(node, (dict, list)) and node and rng.random() < 0.7:
@@ -897,15 +924,16 @@ def _mutate(rng, doc):
             doc = value
         else:
             parent[key] = value
-    return doc, f"{kind} at {path}"
+    return doc, kind, path
 
 
 def test_mutated_configs_and_checkpoints_exit_2_naming_a_file(tmp_path,
                                                               capsys):
     """A seeded generator of type, deletion and extra-key mutations of a
     run config (through train, eval, predict and gridsearch) and of a
-    checkpoint (through eval and predict): no exception escapes main, and
-    every exit 2 prints a message that starts with a file path."""
+    checkpoint (through eval and predict): no exception escapes main,
+    every exit 2 prints a message that starts with a file path, and a
+    checkpoint parameter value that is not a float-range number is exit 2."""
     rng = random.Random(20261019)
     base = tmp_path / "base"
     base.mkdir()
@@ -934,12 +962,13 @@ def test_mutated_configs_and_checkpoints_exit_2_naming_a_file(tmp_path,
         shutil.copytree(base, case)
         config = case / "run.json"
         if target == "config":
-            doc, label = _mutate(rng, run)
+            doc, kind, path = _mutate(rng, run)
             config.write_text(json.dumps(doc), encoding="utf-8")
         else:
-            doc, label = _mutate(rng, checkpoint)
+            doc, kind, path = _mutate(rng, checkpoint)
             (case / "model.json").write_text(json.dumps(doc),
                                              encoding="utf-8")
+        label = f"{kind} at {path}"
         capsys.readouterr()
         try:
             code = main([command, "--config", str(config)])
@@ -950,5 +979,10 @@ def test_mutated_configs_and_checkpoints_exit_2_naming_a_file(tmp_path,
         if code == 2:
             assert err.startswith(f"error: {case}{os.sep}"), (
                 command, target, label, err)
+        if target == "checkpoint" and kind == "type" and len(path) == 4 \
+                and path[0] == "params" and path[2] == "data":
+            name, _, index = path[1:]
+            if not _float_number(doc["params"][name]["data"][index]):
+                assert code == 2, (command, target, label, code)
         codes.append(code)
     assert codes.count(2) >= len(cases) // 2

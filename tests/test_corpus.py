@@ -1,4 +1,4 @@
-"""Corpus loading, validation, gold tables, and splits."""
+"""Corpus loading, validation, gold tables, and the OOT/IT split."""
 
 import json
 import os
@@ -11,7 +11,9 @@ from darter.corpus import (CorpusError, Entity, LabelSchema, MatchMode,
                            Relation, Sentence, Vocabulary, entity_mask,
                            entity_triple, gold_entities, gold_relations,
                            gold_tables, load_corpus, save_corpus,
-                           sentence_from_json, split_oot_it)
+                           sentence_from_json)
+from darter.decoders import PredictionSet
+from darter.evaluation import evaluate_corpus
 
 SCHEMA = LabelSchema(("per", "org", "loc"), ("works", "near"))
 
@@ -26,6 +28,14 @@ def sent(tokens, entities=(), relations=(), mode=MatchMode.EXACT):
                     tuple(Entity(*e) for e in entities),
                     tuple(Relation(*r) for r in relations),
                     mode)
+
+
+def unpredicted_report(corpus):
+    """The report of a corpus scored against empty predictions: every gold
+    triple is a miss of the subset its sentence falls in."""
+    empty = PredictionSet(frozenset(), frozenset())
+    return evaluate_corpus(corpus, [empty] * len(corpus), SCHEMA,
+                           MatchMode.EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +234,11 @@ def test_split_oot_it_examples():
     no_rel = sent(["a"], entities=[(0, 0, "per")])
     one_rel = sent(["a", "b"], entities=[(0, 0, "per"), (1, 1, "org")],
                    relations=[(0, 1, "works")])
-    oot, it = split_oot_it([no_rel, one_rel])
-    assert oot == [no_rel] and it == [one_rel]
+    report = unpredicted_report([no_rel, one_rel])
+    oot, it = report["oot"], report["it"]
+    assert oot["n_sentences"] == 1 and it["n_sentences"] == 1
+    assert oot["ner"]["micro"]["fn"] == 1 and it["ner"]["micro"]["fn"] == 2
+    assert oot["re"]["micro"]["fn"] == 0 and it["re"]["micro"]["fn"] == 1
 
 
 def test_split_oot_it_partitions_hand_count():
@@ -237,11 +250,13 @@ def test_split_oot_it_partitions_hand_count():
                                relations=[(0, 1, "works")]))
         else:
             corpus.append(sent(["a"], entities=[(0, 0, "per")]))
-    oot, it = split_oot_it(corpus)
-    assert len(oot) == 6 and len(it) == 4
-    assert len(oot) + len(it) == len(corpus)
-    assert all(s.relations for s in it)
-    assert not any(s.relations for s in oot)
+    report = unpredicted_report(corpus)
+    oot, it = report["oot"], report["it"]
+    assert oot["n_sentences"] == 6 and it["n_sentences"] == 4
+    assert oot["n_sentences"] + it["n_sentences"] == report["n_sentences"]
+    # every gold relation is in IT, none in OOT
+    assert it["re"]["micro"]["fn"] == 4
+    assert oot["re"]["micro"]["fn"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Metric arithmetic and the hand-tallied corpus report."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from darter.autodiff import ContractError
 from darter.corpus import (Entity, LabelSchema, MatchMode, Relation,
-                           Sentence)
+                           Sentence, gold_entities, gold_relations)
 from darter.decoders import PredictionSet
-from darter.evaluation import (PRF1, evaluate_corpus, macro_f1,
-                               per_type_scores, project_entity_triples,
-                               score_sets)
+from darter.evaluation import PRF1, evaluate_corpus
+from darter.synthetic import synthetic_corpus, synthetic_schema
 
 from fixtures import adversarial_fixture
 
@@ -23,16 +24,20 @@ def sent(tokens, entities=(), relations=(), mode=MatchMode.EXACT):
                     tuple(Relation(*r) for r in relations), mode)
 
 
-def scored(sentence, entities=(), relations=(), mode=MatchMode.EXACT):
+def scored(sentence, entities=(), relations=(), mode=MatchMode.EXACT,
+           schema=SCHEMA):
     """The report of a one-sentence corpus and its predicted triples."""
     return evaluate_corpus(
         [sentence], [PredictionSet(frozenset(entities), frozenset(relations))],
-        SCHEMA, mode)
+        schema, mode)
+
+
+def counts(cell):
+    return (cell["tp"], cell["fp"], cell["fn"])
 
 
 def micro(report, task):
-    cell = report[task]["micro"]
-    return (cell["tp"], cell["fp"], cell["fn"])
+    return counts(report[task]["micro"])
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +57,13 @@ def test_prf1_direct_arithmetic():
     assert cell.f1 == float(Fraction(2, 3))
 
 
-def test_prf1_addition():
-    total = PRF1(1, 2, 3) + PRF1(4, 5, 6)
-    assert (total.tp, total.fp, total.fn) == (5, 7, 9)
-
-
 def test_score_sets_self_is_perfect():
-    triples = frozenset({(0, 1, 0), (2, 2, 1)})
-    cell = score_sets(triples, triples)
-    assert cell.f1 == 1.0 and cell.fp == 0 and cell.fn == 0
+    s = sent(["a", "b", "c"], entities=[(0, 1, "per"), (2, 2, "org")],
+             relations=[(0, 1, "works")])
+    report = scored(s, {(0, 1, 0), (2, 2, 1)}, {(0, 2, 0)})
+    for task in ("ner", "re"):
+        cell = report[task]["micro"]
+        assert cell["f1"] == 1.0 and cell["fp"] == 0 and cell["fn"] == 0
 
 
 def test_tail_mode_gives_tail_credit():
@@ -73,10 +76,14 @@ def test_tail_mode_gives_tail_credit():
 
 
 def test_project_entity_triples():
-    triples = {(1, 3, 0), (2, 3, 1)}
-    assert project_entity_triples(triples, MatchMode.EXACT) == triples
-    assert project_entity_triples(triples, MatchMode.TAIL) == \
-        {(3, 3, 0), (3, 3, 1)}
+    # exact scoring keeps predicted spans; tail scoring reads each by its
+    # tail, so two spans sharing a tail and a type count once
+    s = sent(["a", "b", "c", "d"], entities=[(1, 3, "per"), (2, 3, "org")])
+    predicted = {(1, 3, 0), (0, 3, 0), (2, 3, 1)}
+    assert micro(scored(s, predicted, mode=MatchMode.EXACT), "ner") == \
+        (2, 1, 0)
+    assert micro(scored(s, predicted, mode=MatchMode.TAIL), "ner") == \
+        (2, 0, 0)
 
 
 def test_swapped_relation_direction_counts_twice():
@@ -87,16 +94,28 @@ def test_swapped_relation_direction_counts_twice():
 
 def test_per_type_attribution():
     # false positive lands on the predicted type, miss on the gold type
-    cells = per_type_scores(frozenset({(0, 0, 0)}), frozenset({(0, 0, 1)}), 2)
-    assert (cells[0].tp, cells[0].fp, cells[0].fn) == (0, 1, 0)
-    assert (cells[1].tp, cells[1].fp, cells[1].fn) == (0, 0, 1)
+    cells = scored(sent(["a"], entities=[(0, 0, "org")]),
+                   {(0, 0, 0)})["ner"]["per_type"]
+    assert counts(cells["per"]) == (0, 1, 0)
+    assert counts(cells["org"]) == (0, 0, 1)
 
 
 def test_macro_f1():
-    assert macro_f1([PRF1(2, 1, 1)]) == PRF1(2, 1, 1).f1
-    assert macro_f1([PRF1(1, 0, 0), PRF1(0, 1, 1)]) == 0.5
-    with pytest.raises(ContractError):
-        macro_f1([])
+    # one type: its F1; two types: their mean
+    alone = LabelSchema(("per",), ("works",))
+    s = sent(["a", "b", "c"], entities=[(0, 0, "per"), (1, 1, "per"),
+                                        (2, 2, "per")])
+    report = scored(s, {(0, 0, 0), (1, 1, 0), (0, 1, 0)}, schema=alone)
+    assert micro(report, "ner") == (2, 1, 1)
+    assert report["ner"]["macro_f1"] == PRF1(2, 1, 1).f1
+    # works: one hit; near: one spurious pair and one miss
+    s = sent(["a", "b", "c"],
+             entities=[(0, 0, "per"), (1, 1, "org"), (2, 2, "loc")],
+             relations=[(0, 1, "works"), (1, 2, "near")])
+    report = scored(s, relations={(0, 1, 0), (0, 2, 1)})
+    assert counts(report["re"]["per_type"]["works"]) == (1, 0, 0)
+    assert counts(report["re"]["per_type"]["near"]) == (0, 1, 1)
+    assert report["re"]["macro_f1"] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +299,37 @@ def test_report_rejects_misaligned_inputs():
     corpus = [sent(["a"])]
     with pytest.raises(ContractError, match="predictions"):
         evaluate_corpus(corpus, [], SCHEMA, MatchMode.EXACT)
+
+
+# ---------------------------------------------------------------------------
+# golden reports
+
+GOLDEN = Path(__file__).with_name("golden_reports.jsonl")
+
+
+def _golden_cases():
+    """The adversarial fixture annotated and scored in each mode, and the
+    bundled corpus scored in each mode against its own gold."""
+    schema, sentences, predictions, _ = adversarial_fixture()
+    for annotation in MatchMode:
+        corpus = [replace(s, mode=annotation) for s in sentences]
+        for scoring in MatchMode:
+            yield (f"fixture/{annotation.value}/{scoring.value}",
+                   evaluate_corpus(corpus, predictions, schema, scoring))
+    schema, corpus = synthetic_schema(), synthetic_corpus()
+    gold = [PredictionSet(gold_entities(s, schema, s.mode),
+                          gold_relations(s, schema, s.mode)) for s in corpus]
+    for scoring in MatchMode:
+        yield (f"bundled/{scoring.value}",
+               evaluate_corpus(corpus, gold, schema, scoring))
+
+
+def golden_text() -> str:
+    """One `json.dumps([case, report])` line per case."""
+    return "".join(json.dumps([name, report]) + "\n"
+                   for name, report in _golden_cases())
+
+
+def test_reports_match_the_golden_file():
+    """The report's key order, counts and float bits, byte for byte."""
+    assert golden_text() == GOLDEN.read_text(encoding="utf-8")

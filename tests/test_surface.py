@@ -133,6 +133,29 @@ def test_no_library_module_imports_the_test_references():
                                                   "tests"), (path.name, name)
 
 
+def test_every_imported_name_is_used():
+    """Each library module other than the package's re-exporting
+    `__init__` reads every name it imports."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0]
+                             for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported |= {alias.asname or alias.name
+                             for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert not unused
+
+
 def _parameters(fn) -> list[tuple]:
     return [(p.name, p.default)
             for p in inspect.signature(fn).parameters.values()]
@@ -165,9 +188,7 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
 def test_one_scorer_and_gold_sets_take_their_mode():
     """`evaluate_corpus` is the only scorer (a sentence's scores come from
     a one-sentence corpus), and the gold triples' mode is always given."""
-    assert _public_functions(evaluation) == {
-        "evaluate_corpus", "macro_f1", "per_type_scores",
-        "project_entity_triples", "score_sets"}
+    assert _public_functions(evaluation) == {"evaluate_corpus"}
     required = inspect.Parameter.empty
     for fn in (gold_entities, gold_relations):
         assert _parameters(fn) == [("sentence", required),

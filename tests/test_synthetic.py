@@ -3,7 +3,9 @@
 import numpy as np
 
 from darter.corpus import (MatchMode, Vocabulary, gold_tables, load_corpus,
-                           save_corpus, split_oot_it)
+                           save_corpus)
+from darter.decoders import PredictionSet
+from darter.evaluation import evaluate_corpus
 from darter.synthetic import (random_corpus, synthetic_corpus,
                               synthetic_paths, synthetic_schema)
 
@@ -20,8 +22,11 @@ def test_bundled_corpus_shape():
 
 def test_bundled_corpus_has_both_subsets_and_span_kinds():
     corpus = synthetic_corpus()
-    oot, it = split_oot_it(corpus)
-    assert len(oot) == 2 and len(it) == 14
+    empty = [PredictionSet(frozenset(), frozenset())] * len(corpus)
+    report = evaluate_corpus(corpus, empty, synthetic_schema(),
+                             MatchMode.EXACT)
+    assert report["oot"]["n_sentences"] == 2
+    assert report["it"]["n_sentences"] == 14
     assert any(e.end > e.start for s in corpus for e in s.entities)
     assert any(e.end == e.start for s in corpus for e in s.entities)
     # at least one relation whose object precedes its subject in the text
