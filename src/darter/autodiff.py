@@ -797,9 +797,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
     def names(self) -> list[str]:
         return list(self._arrays)
 
@@ -816,17 +813,13 @@ class ParamStore:
         dup._view(flat)
         return dup
 
-    def untracked(self) -> dict[str, Tensor]:
-        """The cached untracked Tensors, one per parameter: the same dict
-        until the named arrays are replaced. Callers must not modify it."""
-        if self._untracked is None:      # arrays are float64 already
-            self._untracked = {name: Tensor(arr)
-                               for name, arr in self._arrays.items()}
-        return self._untracked
-
     def bind(self, record: Record) -> dict[str, Tensor]:
-        """Register every parameter as a tracked leaf on `record`; one that
-        does not record gets a copy of the cached untracked Tensors."""
+        """Register every parameter as a tracked leaf on `record`. One that
+        does not record gets the cached untracked Tensors: the same dict
+        until the named arrays are replaced. Callers must not modify it."""
         if not record.recording:
-            return dict(self.untracked())
+            if self._untracked is None:  # arrays are float64 already
+                self._untracked = {name: Tensor(arr)
+                                   for name, arr in self._arrays.items()}
+            return self._untracked
         return {name: record.leaf(arr) for name, arr in self._arrays.items()}

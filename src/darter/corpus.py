@@ -32,7 +32,6 @@ __all__ = [
     "gold_relations",
     "gold_tables",
     "load_corpus",
-    "open_input",
     "read_json",
     "read_text",
     "relation_anchor",
@@ -69,15 +68,6 @@ class InputError(OSError):
     readable. The message names the path."""
 
 
-def open_input(path):
-    """`path` opened for reading as UTF-8 text, or an InputError."""
-    try:
-        return open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read: "
-                         f"{exc.strerror or exc}") from exc
-
-
 def write_json(path, obj, indent: int | None = None) -> None:
     """One JSON document and a newline, written atomically."""
     def write(handle):
@@ -92,9 +82,15 @@ class CorpusError(ValueError):
 
 
 def read_text(path, error) -> str:
-    """The whole of `path` as UTF-8 text. Bytes that are not UTF-8 raise
-    `error` (an exception class) naming the path."""
-    with open_input(path) as handle:
+    """The whole of `path` as UTF-8 text. A file that cannot be opened
+    raises an InputError, and bytes that are not UTF-8 raise `error` (an
+    exception class), each naming the path."""
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: "
+                         f"{exc.strerror or exc}") from exc
+    with handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

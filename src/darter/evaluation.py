@@ -13,8 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .autodiff import ContractError
-from .corpus import (LabelSchema, MatchMode, Sentence, entity_triple,
-                     gold_entities, gold_relations, relation_anchor)
+from .corpus import (LabelSchema, MatchMode, entity_triple, gold_entities,
+                     relation_anchor)
 
 __all__ = ["PRF1", "evaluate_corpus"]
 
@@ -61,49 +61,19 @@ _TAXONOMY_KEYS = ("ET", "EN", "ET_NP", "SOR", "SON", "SOR_NP", "ETSOR",
                   "ETSON")
 
 
-def _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence: Sentence,
-              schema: LabelSchema, mode: MatchMode) -> Counter:
-    gold_spans = {(i, j) for i, j, _ in gold_e}
-    pred_spans = {(i, j) for i, j, _ in pred_e}
-    et = len(pred_e & gold_e)
-    en = sum(1 for i, j, k in pred_e
-             if (i, j) in gold_spans and (i, j, k) not in gold_e)
-    et_np = sum(1 for i, j, _ in gold_e if (i, j) not in pred_spans)
+def _joint_taxonomy(pred_e, right, wrong, ends: dict) -> Counter:
+    """ETSOR over the correct relation predictions `right`, ETSON over the
+    wrong-type ones `wrong`. `ends` maps each gold relation triple to the
+    gold entity triples, subject and object, of every relation behind it."""
 
-    # each gold relation keeps the entity triples it references, so the
-    # joint counters can ask whether those entities were predicted
-    by_triple: dict[tuple, list] = {}
-    by_pair: dict[tuple, list] = {}
-    for rel in sentence.relations:
-        subject = sentence.entities[rel.subject]
-        obj = sentence.entities[rel.object]
-        triple = (relation_anchor(subject, mode), relation_anchor(obj, mode),
-                  schema.relation_id(rel.type))
-        ends = (entity_triple(subject, schema, mode),
-                entity_triple(obj, schema, mode))
-        by_triple.setdefault(triple, []).append(ends)
-        by_pair.setdefault(triple[:2], []).append(ends)
+    def entities_predicted(triples) -> bool:
+        return any(s in pred_e and o in pred_e
+                   for triple in triples for s, o in ends[triple])
 
-    gold_pairs = {(i, m) for i, m, _ in gold_r}
-    pred_pairs = {(i, m) for i, m, _ in pred_r}
-    sor = len(pred_r & gold_r)
-    sor_np = sum(1 for i, m, _ in gold_r if (i, m) not in pred_pairs)
-
-    def entities_predicted(ends) -> bool:
-        return any(s in pred_e and o in pred_e for s, o in ends)
-
-    etsor = sum(1 for triple in pred_r & gold_r
-                if entities_predicted(by_triple[triple]))
-    son = 0
-    etson = 0
-    for i, m, k in pred_r:
-        if (i, m) in gold_pairs and (i, m, k) not in gold_r:
-            son += 1
-            if entities_predicted(by_pair[(i, m)]):
-                etson += 1
-
-    return Counter(ET=et, EN=en, ET_NP=et_np, SOR=sor, SON=son,
-                   SOR_NP=sor_np, ETSOR=etsor, ETSON=etson)
+    return Counter(
+        ETSOR=sum(entities_predicted([triple]) for triple in right),
+        ETSON=sum(entities_predicted([g for g in ends if g[:2] == p[:2]])
+                  for p in wrong))
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +108,35 @@ def evaluate_corpus(sentences, predictions, schema: LabelSchema,
         pred_r = frozenset(pred.relations)
         if mode is MatchMode.TAIL and sentence.mode is MatchMode.EXACT:
             pred_r = _tail_anchored(pred_r, pred.entities)
-        gold_r = gold_relations(sentence, schema, mode)
+        # each gold relation triple -> its relations' entity triples
+        ends: dict[tuple, list] = {}
+        for rel in sentence.relations:
+            subject = sentence.entities[rel.subject]
+            obj = sentence.entities[rel.object]
+            ends.setdefault((relation_anchor(subject, mode),
+                             relation_anchor(obj, mode),
+                             schema.relation_id(rel.type)), []).append(
+                (entity_triple(subject, schema, mode),
+                 entity_triple(obj, schema, mode)))
+        gold_r = frozenset(ends)
         subset = "it" if sentence.relations else "oot"
         n_sentences[subset] += 1
-        for task, pred_t, gold_t in (("ner", pred_e, gold_e),
-                                     ("re", pred_r, gold_r)):
-            for outcome, triples in (("tp", pred_t & gold_t),
-                                     ("fp", pred_t - gold_t),
+        for task, keys, pred_t, gold_t in (
+                ("ner", ("ET", "EN", "ET_NP"), pred_e, gold_e),
+                ("re", ("SOR", "SON", "SOR_NP"), pred_r, gold_r)):
+            right, false = pred_t & gold_t, pred_t - gold_t
+            for outcome, triples in (("tp", right), ("fp", false),
                                      ("fn", gold_t - pred_t)):
                 counts.update((subset, task, outcome, k)
                               for _, _, k in triples)
-        taxonomy += _taxonomy(pred_e, gold_e, pred_r, gold_r, sentence,
-                              schema, mode)
+            gold_pairs = {triple[:2] for triple in gold_t}
+            pred_pairs = {triple[:2] for triple in pred_t}
+            wrong = [p for p in false if p[:2] in gold_pairs]
+            taxonomy.update(dict(zip(keys, (
+                len(right), len(wrong),
+                sum(g[:2] not in pred_pairs for g in gold_t)))))
+        # `right` and `wrong` hold the relations, from the loop's last pass
+        taxonomy += _joint_taxonomy(pred_e, right, wrong, ends)
 
     def cell(task, subsets=("oot", "it"), type_id=None) -> PRF1:
         return PRF1(*(sum(n for (s, t, o, k), n in counts.items()

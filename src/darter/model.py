@@ -181,11 +181,10 @@ class JointModel:
         store rebuilds them or `self.store` is replaced."""
         config = self.config
         record = Record(recording=recording)
+        bound = self.store.bind(record)
         if recording:
-            bound = self.store.bind(record)
             structs = self._structs(bound)
         else:
-            bound = self.store.untracked()
             cached = self._unrecorded
             if cached is None or cached[0] is not bound:
                 cached = self._unrecorded = (bound, self._structs(bound))

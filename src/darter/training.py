@@ -161,25 +161,17 @@ class Adam:
 # training loop
 
 
-@dataclass
-class _Prepared:
-    token_ids: np.ndarray
-    entity_gold: np.ndarray
-    relation_gold: np.ndarray
-    mask: np.ndarray
-
-
-def _prepare(model: JointModel, sentence) -> _Prepared:
+def _prepare(model: JointModel, sentence) -> tuple:
+    """A sentence's token ids, gold tables and entity mask."""
     config = model.config
     if sentence.mode is not config.match_mode:
         raise ContractError(
             f"sentence annotated in {sentence.mode.value} mode but the model "
             f"expects {config.match_mode.value}")
-    entity_gold, relation_gold = gold_tables(sentence, model.schema)
-    mask = entity_mask(len(sentence), model.schema.u, config.match_mode,
-                       config.mask_reversed_entity_cells)
-    return _Prepared(model.vocab.encode(sentence.tokens), entity_gold,
-                     relation_gold, mask)
+    return (model.vocab.encode(sentence.tokens),
+            *gold_tables(sentence, model.schema),
+            entity_mask(len(sentence), model.schema.u, config.match_mode,
+                        config.mask_reversed_entity_cells))
 
 
 def train(model: JointModel, sentences, train_config: TrainConfig,
@@ -199,11 +191,10 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
         for start in range(0, len(order), train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
             for k, idx in enumerate(batch):
-                item = prepared[idx]
-                forward = model.forward(item.token_ids)
-                loss = sentence_loss(forward, item.entity_gold,
-                                     item.relation_gold, item.mask, weights,
-                                     train_config.clamp_eps)
+                token_ids, entity_gold, relation_gold, mask = prepared[idx]
+                forward = model.forward(token_ids)
+                loss = sentence_loss(forward, entity_gold, relation_gold,
+                                     mask, weights, train_config.clamp_eps)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingDiverged(

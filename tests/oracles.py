@@ -2,10 +2,13 @@
 
 Everything here works on nested python lists with explicit loops and the
 math module only, sharing no code with the library under test. Slow and
-obvious on purpose.
+obvious on purpose. The one exception is the directional-derivative check
+at the end, which perturbs a model's own numpy parameter arrays.
 """
 
 import math
+
+import numpy as np
 
 
 def tolist(arr):
@@ -198,3 +201,30 @@ def bce_sum(probs, gold, mask, eps=1e-7):
                 q = clamp(p, eps, 1.0 - eps)
                 total -= y * math.log(q) + (1.0 - y) * math.log(1.0 - q)
     return total
+
+
+# ---------------------------------------------------------------------------
+# directional derivatives
+
+def directional_errors(loss_fn, store, analytic, seed, step=1e-6):
+    """Per parameter array of `store`, |a - n| / max(1, |a|, |n|) between
+    the analytic directional derivative a = sum(analytic[name] * v) and the
+    central difference n = (loss(p + step v) - loss(p - step v)) / (2 step)
+    along one seeded random unit direction v for that array. `loss_fn`
+    reads the live arrays; each is restored bit for bit afterwards."""
+    rng = np.random.default_rng(seed)
+    errors = {}
+    for name in store.names():
+        arr = store[name]
+        v = rng.standard_normal(arr.shape)
+        v /= np.linalg.norm(v)
+        orig = arr.copy()
+        arr += step * v
+        up = loss_fn()
+        arr[...] = orig - step * v
+        down = loss_fn()
+        arr[...] = orig
+        n = (up - down) / (2.0 * step)
+        a = float(np.sum(analytic[name] * v))
+        errors[name] = abs(a - n) / max(1.0, abs(a), abs(n))
+    return errors

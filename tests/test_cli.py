@@ -900,6 +900,22 @@ def _float_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+# the run config the fuzzer mutates; training it for 0 epochs writes the
+# untrained d_p = d_h = 2 darter checkpoint it mutates too
+_FUZZ_RUN = {
+    "schema": "schema.json", "train_corpus": "train.jsonl",
+    "dev_corpus": "dev.jsonl", "test_corpus": "dev.jsonl",
+    "input_corpus": "dev.jsonl", "checkpoint": "model.json",
+    "history": "history.json", "report": "report.json",
+    "predictions": "predictions.jsonl", "grid_results": "grid.json",
+    "model": {"variant": "darter", "d_p": 2, "d_h": 2, "seed": 3},
+    "train": {"lr": 0.01, "epochs": 0, "batch_size": 1, "seed": 3},
+    "loss": {"gamma": 1.0, "delta": 0.5},
+    "grid": {"alphas": [1.0], "betas": [1.0], "gammas": [1.0],
+             "deltas": [1.0]},
+}
+
+
 def _mutate(rng, doc):
     """doc with one type, deletion or extra-key mutation at a node chosen
     by a random walk from the root (children of larger containers are not
@@ -938,19 +954,7 @@ def test_mutated_configs_and_checkpoints_exit_2_naming_a_file(tmp_path,
     base = tmp_path / "base"
     base.mkdir()
     setup_tree(base, CORPUS[:2])
-    run = {
-        "schema": "schema.json", "train_corpus": "train.jsonl",
-        "dev_corpus": "dev.jsonl", "test_corpus": "dev.jsonl",
-        "input_corpus": "dev.jsonl", "checkpoint": "model.json",
-        "history": "history.json", "report": "report.json",
-        "predictions": "predictions.jsonl", "grid_results": "grid.json",
-        "model": {"variant": "darter", "d_p": 2, "d_h": 2, "seed": 3},
-        "train": {"lr": 0.01, "epochs": 0, "batch_size": 1, "seed": 3},
-        "loss": {"gamma": 1.0, "delta": 0.5},
-        "grid": {"alphas": [1.0], "betas": [1.0], "gammas": [1.0],
-                 "deltas": [1.0]},
-    }
-    assert main(["train", "--config", config_file(base, **run)]) == 0
+    assert main(["train", "--config", config_file(base, **_FUZZ_RUN)]) == 0
     checkpoint = json.loads((base / "model.json").read_text("utf-8"))
     cases = ([("config", command) for command in
               ("train", "eval", "predict", "gridsearch") for _ in range(60)]
@@ -962,7 +966,7 @@ def test_mutated_configs_and_checkpoints_exit_2_naming_a_file(tmp_path,
         shutil.copytree(base, case)
         config = case / "run.json"
         if target == "config":
-            doc, kind, path = _mutate(rng, run)
+            doc, kind, path = _mutate(rng, _FUZZ_RUN)
             config.write_text(json.dumps(doc), encoding="utf-8")
         else:
             doc, kind, path = _mutate(rng, checkpoint)
@@ -986,3 +990,35 @@ def test_mutated_configs_and_checkpoints_exit_2_naming_a_file(tmp_path,
                 assert code == 2, (command, target, label, code)
         codes.append(code)
     assert codes.count(2) >= len(cases) // 2
+
+
+def test_each_non_float_mutant_in_checkpoint_data_is_exit_2(tmp_path,
+                                                            capsys):
+    """The fuzzer's random walk seldom reaches `params.<name>.data`, so
+    this walks it: each mutant value that is not a float-range number, in
+    place of the first data element of each parameter array of the
+    fuzzer's checkpoint, exits 2 from eval and predict with a message
+    naming the checkpoint and the array."""
+    setup_tree(tmp_path, CORPUS[:2])
+    config = config_file(tmp_path, **_FUZZ_RUN)
+    assert main(["train", "--config", config]) == 0
+    path = tmp_path / _FUZZ_RUN["checkpoint"]
+    checkpoint = json.loads(path.read_text("utf-8"))
+    rejected = [value for value in _MUTANT_VALUES
+                if not _float_number(value)]
+    assert len(rejected) == 9 and len(checkpoint["params"]) == 21
+    for name, param in checkpoint["params"].items():
+        first = param["data"][0]
+        for value in rejected:
+            param["data"][0] = value
+            path.write_text(json.dumps(checkpoint), encoding="utf-8")
+            for command in ("eval", "predict"):
+                capsys.readouterr()
+                code = main([command, "--config", config])
+                err = capsys.readouterr().err
+                assert code == 2, (command, name, value, code, err)
+                assert err.startswith(f"error: {path}: params.{name}: "), (
+                    command, name, value, err)
+        param["data"][0] = first
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "predictions.jsonl").exists()

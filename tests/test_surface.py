@@ -8,6 +8,7 @@ caller sets. The encoder hands on each layer's output tensor itself."""
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,13 @@ import pytest
 
 import darter
 import darter.autodiff as ad
+import darter.corpus as corpus
 import darter.decoders as decoders
 import darter.encoder as encoder
 import darter.evaluation as evaluation
 import darter.training as training
 from darter import synthetic
-from darter.autodiff import ParamStore, constant
+from darter.autodiff import ParamStore, Record, constant
 from darter.corpus import (LabelSchema, MatchMode, Vocabulary, gold_entities,
                            gold_relations, load_corpus)
 from darter.encoder import encode_sequence, encode_stacked
@@ -28,6 +30,7 @@ from darter.model import JointModel, ModelConfig
 from darter.training import TrainConfig, train
 
 SRC = Path(darter.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _public_functions(module) -> set[str]:
@@ -104,7 +107,7 @@ def test_parameter_structs_list_their_kernel_arguments_in_order():
 def test_the_trace_is_one_token_ordered_array_per_quantity():
     store = ParamStore(3)
     encoder.DamParams.register(store, "dam", 2, 4)
-    params = encoder.DamParams.bind(store.untracked(), "dam")
+    params = encoder.DamParams.bind(store.bind(Record(recording=False)), "dam")
     x = constant(np.random.default_rng(4).standard_normal((5, 2)))
     for reverse in (False, True):
         trace = encoder.trace_sequence(x, params, reverse=reverse)
@@ -214,3 +217,39 @@ def test_every_all_entry_resolves(name):
     missing = [entry for entry in module.__all__
                if not hasattr(module, entry)]
     assert not missing, (name, missing)
+
+
+def test_each_removed_duplicate_stays_removed():
+    """An unrecorded binding is `bind` on a record that does not record,
+    `read_text` opens its own input, and `_prepare` returns a tuple."""
+    assert not hasattr(ParamStore, "untracked")
+    assert "__contains__" not in vars(ParamStore)
+    assert not hasattr(corpus, "open_input")
+    assert "open_input" not in corpus.__all__
+    assert not hasattr(training, "_Prepared")
+
+
+def _references(tree) -> Counter:
+    """How often each name is read in `tree`, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_function_the_library_defines_has_a_reader():
+    """Each function and method that `src/` defines by name, dunders
+    aside, is read somewhere in the library, the tests, the benchmark or
+    the demos outside its own body."""
+    files = [path for folder in ("src", "tests", "perfbench", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in files}
+    reads = sum((_references(tree) for tree in trees.values()), Counter())
+    unread = [f"{path.stem}.{node.name}"
+              for path, tree in trees.items() if SRC in path.parents
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))
+              and reads[node.name] == _references(node)[node.name]]
+    assert not unread
