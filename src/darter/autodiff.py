@@ -399,6 +399,8 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
         raise ShapeError(f"dam_sequence reads [t, {d_in}] tokens or a "
                          f"[t, 2, m, {d_in}] layer output, got {xsh}")
     t = xsh[0]
+    if t < 1:
+        raise ContractError("cannot encode an empty sentence")
     z = np.matmul(xin, w_zv)             # [n, t, d]
     z += b_z.values
     width = n * d

@@ -281,7 +281,3 @@ def main(argv=None) -> int:
     except (TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

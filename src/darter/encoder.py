@@ -76,16 +76,6 @@ class DamParams(NamedTuple):
         return cls(*(bound[f"{prefix}.{kind}"] for kind in cls._fields))
 
 
-def _layer(x: Tensor, params: DamParams, reverse: bool,
-           interaction: bool) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """One fused `dam_sequence` call: the layer's output and the
-    activations it saves."""
-    if x.values.shape[0] < 1:
-        raise ContractError("cannot encode an empty sentence")
-    return dam_sequence(x, *params, reverse=reverse,
-                        mix=_MIX if interaction else None)
-
-
 def encode_sequence(x: Tensor, params: DamParams, reverse: bool = False,
                     interaction: bool = True) -> Tensor:
     """Run the cell in one direction over a token matrix [t, d_p], or over
@@ -97,7 +87,8 @@ def encode_sequence(x: Tensor, params: DamParams, reverse: bool = False,
     token order, whatever the processing direction. The projection and
     the recurrence are one fused autodiff node (`autodiff.dam_sequence`).
     """
-    return _layer(x, params, reverse, interaction)[0]
+    return dam_sequence(x, *params, reverse=reverse,
+                        mix=_MIX if interaction else None)[0]
 
 
 def trace_sequence(x: Tensor, params: DamParams,
@@ -106,7 +97,7 @@ def trace_sequence(x: Tensor, params: DamParams,
     token order: z, f, ctil, inter, a, h_tilde, c and h, read from the
     activations the fused layer saves; f = (z + b_f) + h_prev @ w_f, which
     the layer never forms alone, and inter = _MIX @ f are computed here."""
-    out, acts = _layer(x, params, reverse, True)
+    out, acts = dam_sequence(x, *params, reverse=reverse, mix=_MIX)
     t, _, _, d_h = out.shape
     h, zero = out.values[:, 1], np.zeros((1, 3, d_h))
     h_in = np.concatenate((h[1:], zero) if reverse else (zero, h[:-1]))

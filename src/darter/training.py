@@ -235,9 +235,6 @@ class GridPoint:
     ner_f1: float
     re_f1: float
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class GridSearchResult:
@@ -245,8 +242,7 @@ class GridSearchResult:
     points: tuple[GridPoint, ...]
 
     def to_json(self) -> dict:
-        return {"best": self.best.to_json(),
-                "points": [p.to_json() for p in self.points]}
+        return asdict(self)
 
 
 def _default_scorer(model: JointModel, dev_sentences):
@@ -258,11 +254,10 @@ def _default_scorer(model: JointModel, dev_sentences):
 def grid_search(config: ModelConfig, schema: LabelSchema, vocab: Vocabulary,
                 train_sentences, dev_sentences, train_config: TrainConfig,
                 alphas=ALPHA_BETA_GRID, betas=ALPHA_BETA_GRID,
-                gammas=GAMMA_DELTA_GRID, deltas=GAMMA_DELTA_GRID,
-                scorer=None) -> GridSearchResult:
+                gammas=GAMMA_DELTA_GRID, deltas=GAMMA_DELTA_GRID
+                ) -> GridSearchResult:
     """Refit per grid point; best dev relation F1 wins, entity F1 breaks
     ties, then the lexicographically smallest (alpha, beta, gamma, delta)."""
-    scorer = _default_scorer if scorer is None else scorer
     grid = {"alphas": alphas, "betas": betas, "gammas": gammas,
             "deltas": deltas}
     for name, values in grid.items():
@@ -280,7 +275,7 @@ def grid_search(config: ModelConfig, schema: LabelSchema, vocab: Vocabulary,
                            vocab)
         train(model, train_sentences, train_config,
               LossWeights(gamma=gamma, delta=delta))
-        ner_f1, re_f1 = scorer(model, dev_sentences)
+        ner_f1, re_f1 = _default_scorer(model, dev_sentences)
         points.append(GridPoint(alpha, beta, gamma, delta, ner_f1, re_f1))
     return GridSearchResult(best=max(points, key=rank), points=tuple(points))
 

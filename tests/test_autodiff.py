@@ -311,6 +311,12 @@ def test_take_gather_and_duplicate_scatter():
         ad.take(x, [0], axis=2)
 
 
+def test_take_rejects_indices_that_are_not_1d():
+    x = constant(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ad.ShapeError, match="1-d"):
+        ad.take(x, [[0, 1], [2, 0]], axis=0)
+
+
 def test_take_axis1_gradients():
     rng = np.random.default_rng(20)
     store = _store_with(0, x=rng.standard_normal((3, 4, 2)))
@@ -346,6 +352,11 @@ def test_reshape_and_sum():
     store = _store_with(0, x=rng.standard_normal((2, 6)))
     _gradcheck(lambda p: _weighted_sum(ops.reshape(p["x"], (3, 4)),
                                        np.random.default_rng(14)), store)
+
+
+def test_item_rejects_a_tensor_of_more_than_one_value():
+    with pytest.raises(ad.ContractError, match=r"item\(\) on tensor"):
+        constant(np.zeros(2)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +463,21 @@ def test_paramstore_contracts():
     with pytest.raises(ad.ShapeError, match="w"):
         store.set_("w", np.zeros((3, 4)))
     assert np.all(np.abs(store["w"]) <= 0.5)
+
+
+@pytest.mark.parametrize("fan_in", [0, -1])
+def test_add_uniform_rejects_a_fan_in_below_one(fan_in):
+    with pytest.raises(ad.ContractError, match="fan_in must be positive"):
+        ParamStore(3).add_uniform("w", (2, 2), fan_in=fan_in)
+
+
+def test_max_relative_error_reads_a_missing_analytic_gradient_as_zero():
+    """A parameter that the analytic side never reached has a zero
+    gradient: its error is the numeric gradient's, under the unit floor."""
+    numeric = {"w": np.array([0.5, -3.0]), "b": np.array([0.25])}
+    assert max_relative_error({}, numeric) == 1.0
+    assert max_relative_error({"w": np.zeros(2)}, numeric) == 1.0
+    assert max_relative_error({"w": numeric["w"]}, numeric) == 0.25
 
 
 def test_paramstore_seed_determinism():
@@ -679,3 +705,10 @@ def test_dam_sequence_shape_contract():
         ad.dam_sequence(x, w, b, w, b, w, b, w, constant(np.zeros((3, 4))))
     with pytest.raises(ad.ShapeError):
         ad.dam_sequence(constant(np.zeros((2, 3, 4))), w, b, w, b, w, b, w, b)
+
+
+def test_dam_sequence_rejects_a_w_z_that_is_not_3d():
+    x = constant(np.zeros((2, 4)))
+    w, b = constant(np.zeros((3, 4, 4))), constant(np.zeros((3, 1, 4)))
+    with pytest.raises(ad.ShapeError, match=r"w_z must be \[n, d_in, d\]"):
+        ad.dam_sequence(x, constant(np.zeros((4, 4))), b, w, b, w, b, w, b)

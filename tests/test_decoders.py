@@ -164,6 +164,22 @@ def test_pair_decode_shape_contracts():
                     R_ONLY, head)
 
 
+@pytest.mark.parametrize("n_streams,d_h,width", [(0, 4, 2), (1, 1, 2),
+                                                 (1, 4, 0)])
+def test_head_registration_rejects_bad_sizes(n_streams, d_h, width):
+    with pytest.raises(ad.ContractError, match="bad decoder sizes"):
+        DecoderParams.register(ParamStore(0), "head", n_streams, d_h, width)
+
+
+def test_decode_streams_needs_an_encoder_output():
+    store = head_store(16, 1, 4, 2)
+    DecoderParams.register(store, "re", 1, 4, 3)
+    bound = store.bind(Record())
+    with pytest.raises(ad.ContractError, match="at least one encoder output"):
+        decode_streams([], DecoderParams.bind(bound, "head"),
+                       DecoderParams.bind(bound, "re"), 1.0, 1.0)
+
+
 def test_bi_decode_requires_two_streams():
     store = head_store(18, 2, 4, 2)
     DecoderParams.register(store, "re", 2, 4, 3)

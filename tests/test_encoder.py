@@ -271,6 +271,23 @@ def test_encode_sequence_rejects_empty():
         encode_sequence(rec.leaf(np.zeros((0, 3))), params)
 
 
+def test_trace_sequence_rejects_empty_and_a_1d_input():
+    """The kernel's shape checks come first: an empty token matrix is a
+    contract error, a 1-d input of any length a shape error."""
+    _, params = bind(dam_store(0, 3, 4), recording=False)
+    with pytest.raises(ad.ContractError, match="empty"):
+        trace_sequence(constant(np.zeros((0, 3))), params)
+    for length in (0, 3):
+        with pytest.raises(ad.ShapeError):
+            trace_sequence(constant(np.zeros(length)), params)
+
+
+@pytest.mark.parametrize("d_in,d_h", [(0, 4), (3, 0)])
+def test_cell_registration_rejects_widths_below_one(d_in, d_h):
+    with pytest.raises(ad.ContractError, match="cell widths must be positive"):
+        DamParams.register(ParamStore(0), "dam0", d_in, d_h)
+
+
 # ---------------------------------------------------------------------------
 # stacking
 

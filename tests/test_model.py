@@ -47,6 +47,7 @@ def test_layer_defaults_follow_variant():
     (dict(alpha=0.25), "alpha"),
     (dict(beta=2.0), "beta"),
     (dict(match_mode="tail"), "MatchMode"),
+    (dict(seed=-1), "seed"),
 ])
 def test_config_rejections(kwargs, match):
     with pytest.raises(ConfigError, match=match):

@@ -377,6 +377,34 @@ def test_the_cancelling_head_takes_the_cancellation_pass():
     assert all(np.isfinite(pr.values).all() for pr in probs)
 
 
+@pytest.mark.parametrize("t", [1, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_head_without_coefficients_reads_zero_features(monkeypatch, t, n):
+    """A (0, 0, 0) head mixes no stream: its features are zeros, so its
+    table and parameter gradients are an s-only head's over zeroed layers,
+    to the bit, and the layers get a zero gradient. Every `np.empty`
+    starts as NaNs here, so a buffer the kernel reads unwritten shows."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    rng = np.random.default_rng(500 + 10 * t + n)
+    for d_h in (2, 8):
+        layers = [rng.standard_normal((t, 2, 3, d_h)) for _ in range(n)]
+        p = head_params(rng, n, d_h, d_h, 3)
+        s_only = head_tables([np.zeros_like(x) for x in layers],
+                             [((1.0, 0.0, 0.0), p)], True)[0]
+        none = head_tables(layers, [((0.0, 0.0, 0.0), p)], True)[0]
+        assert not any(g.any() for g in none[1:n + 1])
+        for k, (a, b) in enumerate(zip(none[:1] + none[n + 1:],
+                                       s_only[:1] + s_only[n + 1:])):
+            assert a.tobytes() == b.tobytes(), f"d_h={d_h} #{k}"
+
+
 def test_heads_must_share_d_h():
     rng = np.random.default_rng(4)
     layer = constant(rng.standard_normal((3, 2, 3, 4)))

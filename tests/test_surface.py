@@ -185,6 +185,14 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
         ("interaction", True)]
     assert _parameters(encoder.trace_sequence) == [
         ("x", required), ("params", required), ("reverse", False)]
+    assert _parameters(training.grid_search) == [
+        ("config", required), ("schema", required), ("vocab", required),
+        ("train_sentences", required), ("dev_sentences", required),
+        ("train_config", required),
+        ("alphas", training.ALPHA_BETA_GRID),
+        ("betas", training.ALPHA_BETA_GRID),
+        ("gammas", training.GAMMA_DELTA_GRID),
+        ("deltas", training.GAMMA_DELTA_GRID)]
     assert issubclass(ad.ShapeError, ad.ContractError)
 
 
@@ -221,12 +229,17 @@ def test_every_all_entry_resolves(name):
 
 def test_each_removed_duplicate_stays_removed():
     """An unrecorded binding is `bind` on a record that does not record,
-    `read_text` opens its own input, and `_prepare` returns a tuple."""
+    `read_text` opens its own input, `_prepare` returns a tuple, the
+    encoder calls `dam_sequence` itself, a grid result dumps its points
+    with `asdict`, and `python -m darter` is the one entry stub."""
     assert not hasattr(ParamStore, "untracked")
     assert "__contains__" not in vars(ParamStore)
     assert not hasattr(corpus, "open_input")
     assert "open_input" not in corpus.__all__
     assert not hasattr(training, "_Prepared")
+    assert not hasattr(encoder, "_layer")
+    assert not hasattr(training.GridPoint, "to_json")
+    assert "__main__" not in (SRC / "cli.py").read_text(encoding="utf-8")
 
 
 def _references(tree) -> Counter:

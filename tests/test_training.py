@@ -188,6 +188,12 @@ def test_train_config_contracts():
         TrainConfig(clamp_eps=0.01)
 
 
+@pytest.mark.parametrize("field", ["epochs", "seed"])
+def test_train_config_rejects_a_negative_count(field):
+    with pytest.raises(ConfigError, match=f"{field} must be non-negative"):
+        TrainConfig(**{field: -1})
+
+
 def test_zero_learning_rate_changes_nothing():
     model = JointModel(tiny_config(), SCHEMA, VOCAB)
     before = {name: model.store[name].copy() for name in model.store.names()}
@@ -267,7 +273,7 @@ def test_default_rate_crushes_single_sentence_loss():
 # ---------------------------------------------------------------------------
 # grid search
 
-def test_grid_search_picks_rigged_best_and_breaks_ties():
+def test_grid_search_picks_rigged_best_and_breaks_ties(monkeypatch):
     scores = {}
     order = []
 
@@ -282,11 +288,12 @@ def test_grid_search_picks_rigged_best_and_breaks_ties():
             scores[(alpha, beta)] = (0.1, 0.2)
     scores[(-1.0, 1.0)] = (0.5, 0.9)
     scores[(0.5, 0.5)] = (0.7, 0.9)
+    monkeypatch.setattr(training, "_default_scorer", scorer)
 
     result = grid_search(tiny_config(), SCHEMA, VOCAB, CORPUS, CORPUS,
                          TrainConfig(epochs=0),
                          alphas=(-1.0, 0.5), betas=(0.5, 1.0),
-                         gammas=(1.0,), deltas=(1.0,), scorer=scorer)
+                         gammas=(1.0,), deltas=(1.0,))
     assert (result.best.alpha, result.best.beta) == (0.5, 0.5)
     assert result.best.ner_f1 == 0.7 and result.best.re_f1 == 0.9
     assert len(result.points) == 4
@@ -294,15 +301,17 @@ def test_grid_search_picks_rigged_best_and_breaks_ties():
     assert order == [(-1.0, 0.5), (-1.0, 1.0), (0.5, 0.5), (0.5, 1.0)]
 
 
-def test_grid_search_full_tie_takes_lexicographically_smallest():
+def test_grid_search_full_tie_takes_lexicographically_smallest(monkeypatch):
     def scorer(model, dev):
         return (0.5, 0.5)
+
+    monkeypatch.setattr(training, "_default_scorer", scorer)
 
     # enumeration order deliberately scrambled; the tie-break ignores it
     result = grid_search(tiny_config(), SCHEMA, VOCAB, CORPUS, CORPUS,
                          TrainConfig(epochs=0),
                          alphas=(1.0, -1.0), betas=(1.0,),
-                         gammas=(1.0, 0.75), deltas=(1.0,), scorer=scorer)
+                         gammas=(1.0, 0.75), deltas=(1.0,))
     best = result.best
     assert (best.alpha, best.beta, best.gamma, best.delta) == \
         (-1.0, 1.0, 0.75, 1.0)
