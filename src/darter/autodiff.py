@@ -391,10 +391,7 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
     if xsh[1:] == (d_in,):
         xin = xv
     elif len(xsh) == 4 and xsh[1] == 2 and xsh[3] == d_in:
-        hidden = xv[:, 1]
-        xin = hidden[:, 0]
-        for k in range(1, xsh[2]):
-            xin = xin + hidden[:, k]
+        xin = np.add.reduce(xv[:, 1], 1)
     else:
         raise ShapeError(f"dam_sequence reads [t, {d_in}] tokens or a "
                          f"[t, 2, m, {d_in}] layer output, got {xsh}")

@@ -35,6 +35,7 @@ __all__ = [
     "read_json",
     "read_text",
     "relation_anchor",
+    "relation_ends",
     "save_corpus",
     "sentence_from_json",
     "sentence_to_json",
@@ -393,16 +394,25 @@ def gold_entities(sentence: Sentence, schema: LabelSchema,
                      for e in sentence.entities)
 
 
-def gold_relations(sentence: Sentence, schema: LabelSchema,
-                   mode: MatchMode) -> frozenset:
-    triples = set()
+def relation_ends(sentence: Sentence, schema: LabelSchema,
+                  mode: MatchMode) -> dict[tuple, list]:
+    """Each gold relation triple (subject anchor, object anchor, type id) ->
+    the (subject, object) entity triples of every relation behind it."""
+    ends: dict[tuple, list] = {}
     for rel in sentence.relations:
         subject = sentence.entities[rel.subject]
         obj = sentence.entities[rel.object]
-        triples.add((relation_anchor(subject, mode),
-                     relation_anchor(obj, mode),
-                     schema.relation_id(rel.type)))
-    return frozenset(triples)
+        ends.setdefault((relation_anchor(subject, mode),
+                         relation_anchor(obj, mode),
+                         schema.relation_id(rel.type)), []).append(
+            (entity_triple(subject, schema, mode),
+             entity_triple(obj, schema, mode)))
+    return ends
+
+
+def gold_relations(sentence: Sentence, schema: LabelSchema,
+                   mode: MatchMode) -> frozenset:
+    return frozenset(relation_ends(sentence, schema, mode))
 
 
 def gold_tables(sentence: Sentence,

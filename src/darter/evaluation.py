@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .autodiff import ContractError
-from .corpus import (LabelSchema, MatchMode, entity_triple, gold_entities,
-                     relation_anchor)
+from .corpus import LabelSchema, MatchMode, gold_entities, relation_ends
 
 __all__ = ["PRF1", "evaluate_corpus"]
 
@@ -108,16 +107,7 @@ def evaluate_corpus(sentences, predictions, schema: LabelSchema,
         pred_r = frozenset(pred.relations)
         if mode is MatchMode.TAIL and sentence.mode is MatchMode.EXACT:
             pred_r = _tail_anchored(pred_r, pred.entities)
-        # each gold relation triple -> its relations' entity triples
-        ends: dict[tuple, list] = {}
-        for rel in sentence.relations:
-            subject = sentence.entities[rel.subject]
-            obj = sentence.entities[rel.object]
-            ends.setdefault((relation_anchor(subject, mode),
-                             relation_anchor(obj, mode),
-                             schema.relation_id(rel.type)), []).append(
-                (entity_triple(subject, schema, mode),
-                 entity_triple(obj, schema, mode)))
+        ends = relation_ends(sentence, schema, mode)
         gold_r = frozenset(ends)
         subset = "it" if sentence.relations else "oot"
         n_sentences[subset] += 1

@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import (ContractError, Tensor, _aligned, _lines, add, bce,
-                       scratch)
+from .autodiff import ContractError, Tensor, _aligned, _lines, add, bce
 from .corpus import (LabelSchema, Vocabulary, entity_mask, gold_tables,
                      read_json, write_json)
 from .decoders import ALPHA_BETA_GRID
@@ -110,8 +109,8 @@ class Adam:
     """Adam with bias correction over the store's flat parameter vector.
 
     step(g) takes the gradient as one vector laid out as `store.flat` and
-    updates the moments in place, with this thread's `autodiff.scratch`
-    for the temporaries, so a step allocates nothing. The operations and
+    updates the moments in place, with two more rows of the moments' block
+    for its temporaries, so a step allocates nothing. The operations and
     their order are those of the per-array formula
 
         m = _BETA1 * m + (1 - _BETA1) * g
@@ -128,17 +127,15 @@ class Adam:
         self.store = store
         self.lr = lr
         self.step_count = 0
-        size = store.flat.size           # each moment on whole cache lines
-        moments = _aligned(2 * _lines(size)).reshape(2, -1)
-        moments.fill(0.0)
-        self._m, self._v = moments[:, :size]
+        size = store.flat.size           # each row on whole cache lines
+        rows = _aligned(4 * _lines(size)).reshape(4, -1)
+        rows[:2].fill(0.0)               # the moments; step writes the rest
+        self._m, self._v, self._work, self._denom = rows[:, :size]
 
     def step(self, g: np.ndarray) -> None:
         self.step_count += 1
         t = self.step_count
-        m, v = self._m, self._v
-        row = _lines(m.size)             # each half on whole cache lines
-        work, denom = scratch("adam", 2 * row).reshape(2, row)[:, :m.size]
+        m, v, work, denom = self._m, self._v, self._work, self._denom
         with np.errstate(over="raise"):
             m *= _BETA1
             np.multiply(g, 1.0 - _BETA1, out=work)

@@ -460,17 +460,18 @@ def test_reused_buffers_start_on_cache_lines(monkeypatch, d):
 
 
 def test_adam_buffers_start_on_cache_lines(monkeypatch):
-    """Both of Adam's moments, the two halves of its scratch and the
-    gradient row that `train` hands it start on 64-byte boundaries when
-    the parameter count is not a multiple of 8."""
+    """Both of Adam's moments, its two step rows and the gradient row
+    that `train` hands it start on 64-byte boundaries when the parameter
+    count is not a multiple of 8."""
     monkeypatch.setattr(ad, "_workspaces", threading.local())
     store = ParamStore(seed=0)
     store.add_uniform("w", (13,), fan_in=1)
     adam = Adam(store, lr=1e-2)
     assert (adam._m.ctypes.data % 64, adam._v.ctypes.data % 64) == (0, 0)
     adam.step(np.ones(13))
-    scratch = ad._workspaces.adam
-    assert (scratch.ctypes.data % 64, scratch.size) == (0, 2 * 16)
+    rows = (adam._work, adam._denom)
+    assert [(row.ctypes.data % 64, row.size) for row in rows] == [(0, 13)] * 2
+    assert adam._denom.ctypes.data - adam._work.ctypes.data == 16 * 8
 
     stepped = []
     step = Adam.step
@@ -488,6 +489,23 @@ def test_adam_buffers_start_on_cache_lines(monkeypatch):
     assert model.store.flat.size % 8
     training.train(model, sentences, TrainConfig(epochs=1, batch_size=2))
     assert stepped == [(0, model.store.flat.size)]
+
+
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+def test_no_model_sized_buffer_outlives_train(monkeypatch, variant):
+    """Once `train` returns, no array that this thread's workspaces hold
+    is as long as the flat parameter vector: Adam's rows go with the
+    optimizer."""
+    monkeypatch.setattr(ad, "_workspaces", threading.local())
+    corpus_path, schema_path = synthetic.synthetic_paths()
+    schema = LabelSchema.load(schema_path)
+    sentences = load_corpus(corpus_path, schema, MatchMode.EXACT)
+    model = JointModel(ModelConfig(variant=variant), schema,
+                       Vocabulary.from_corpus(sentences))
+    training.train(model, sentences, TrainConfig(epochs=1))
+    held = {name: value.size for name, value in vars(ad._workspaces).items()
+            if isinstance(value, np.ndarray)}
+    assert all(size < model.store.flat.size for size in held.values()), held
 
 
 def _allocate_at(offset):
@@ -542,6 +560,6 @@ def test_buffer_placement_never_changes_bits(monkeypatch, variant):
         monkeypatch.setattr(training, "_aligned", _allocate_at(offset))
         assert outputs() == aligned
         assert ad._workspaces.pair.ctypes.data % 64 == offset
-        assert {ad._workspaces.adam.ctypes.data % 64,
-                adams[-1]._m.ctypes.data % 64,
-                adams[-1]._v.ctypes.data % 64} == {offset}
+        adam = adams[-1]
+        assert {row.ctypes.data % 64 for row in (
+            adam._m, adam._v, adam._work, adam._denom)} == {offset}
