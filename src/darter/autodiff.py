@@ -269,8 +269,8 @@ _workspaces = threading.local()
 def _aligned(size: int) -> np.ndarray:
     """An uninitialised float64 vector of `size` that starts on a 64-byte
     boundary, at the cost of at most 7 doubles of padding: the kernels
-    stream their workspaces and scratch with vector loads, and one that
-    starts mid-line splits every cache line it reads."""
+    stream their workspaces with vector loads, and one that starts
+    mid-line splits every cache line it reads."""
     raw = np.empty(size + 7)
     skip = -raw.ctypes.data % 64 // 8
     return raw[skip:skip + size]
@@ -291,14 +291,10 @@ def _workspace(name: str, build: Callable, *shape):
     return ws[1]
 
 
-def scratch(name: str, size: int) -> np.ndarray:
-    """This thread's grow-only scratch `name`, `size` long, for one call;
-    it starts on a 64-byte boundary."""
-    buf = getattr(_workspaces, name, None)
-    if buf is None or buf.size < size:
-        buf = _aligned(size)
-        setattr(_workspaces, name, buf)
-    return buf[:size]
+def aligned_rows(k: int, size: int) -> np.ndarray:
+    """k uninitialised rows of `size` doubles, [k, size], each starting on
+    a 64-byte boundary."""
+    return _aligned(k * _lines(size)).reshape(k, -1)[:, :size]
 
 
 def _dam_pack(n: int, d: int, transposed: bool) -> Callable:
@@ -500,16 +496,14 @@ def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
                 lo: int, hi: int, streamed: bool = False) -> np.ndarray:
     """Pair rows lo:hi of a head's hidden table,
     ELU((scaled[i, 0] + scaled[j, 1]) * inv[i, j] + bias), [hi - lo, t, d],
-    new (any leading head axis kept) or, if streamed, in `scratch`, with
-    its ELU work half on a 64-byte boundary too."""
+    new (any leading head axis kept) or, if streamed, in the thread's
+    "pair" workspace, with its ELU work half on a 64-byte boundary too."""
     out = work = None
     if streamed:
         shape = (hi - lo, *scaled.shape[::2])
-        size = math.prod(shape)
-        half = _lines(size)
-        buf = scratch("pair", 2 * half)
-        out = buf[:size].reshape(shape)
-        work = buf[half:half + size].reshape(shape)
+        rows = _workspace("pair", aligned_rows, 2,
+                          max(_PAIR_BLOCK, math.prod(shape[1:])))
+        out, work = rows[:, :math.prod(shape)].reshape(2, *shape)
     block = np.add(scaled[..., lo:hi, None, 0, :], scaled[..., None, :, 1, :],
                    out=out)
     block *= inv[..., lo:hi, :, :]
@@ -558,9 +552,9 @@ def pair_heads(layers: Sequence[Tensor],
     buffers with a leading head axis; the elementwise passes, reductions
     and the sigmoid (in place on the logits) run once over those, which
     keeps a one-head call's bits. A [t, t, d_h] hidden table larger than
-    _PAIR_BLOCK elements streams, head by head, through scratch of at most
-    that size (one pair row, if a row is larger), a block of pair rows at
-    a time, which backward recomputes; tables of one block are kept.
+    _PAIR_BLOCK elements streams, head by head, through a per-thread
+    workspace of that size (one pair row, if a row is larger), a block of
+    pair rows at a time, which backward recomputes; one-block tables are kept.
     """
     values = [layer.values for layer in layers]
     n = len(values)
@@ -602,7 +596,7 @@ def pair_heads(layers: Sequence[Tensor],
     bv = affine[:, None, None, 2]
     rows = max(_PAIR_BLOCK // max(1, t * d_h), 1)
     blocks = [(lo, min(lo + rows, t)) for lo in range(0, t, rows)]
-    # one block is kept for backward, more stream through scratch
+    # one block is kept for backward, more stream through the workspace
     hidden = (_pair_block(scaled, inv, bv, 0, t) if rows >= t
               else (None,) * n_heads)
     logits = np.empty(logits_at[-1])     # every head's, flat, in order

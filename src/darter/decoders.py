@@ -18,6 +18,7 @@ import numpy as np
 from .autodiff import ContractError, ParamStore, Tensor, pair_heads
 
 ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
+THRESHOLD = 0.5     # a cell is predicted if its probability is above this
 
 
 class DecoderParams(NamedTuple):
@@ -107,14 +108,13 @@ def decode_streams(layers: list[Tensor], ner_head: DecoderParams,
 
 
 def threshold_predictions(e: EntityLogits, r: RelationLogits,
-                          tau: float = 0.5,
                           diagonal_only: bool = False) -> PredictionSet:
-    """Strictly-above-tau cells; entity cells below the diagonal are
+    """Cells strictly above THRESHOLD; entity cells below the diagonal are
     ignored, and in tail-only mode everything off it is too."""
-    i, j, k = _cells_above(e.probs.values, tau)
+    i, j, k = _cells_above(e.probs.values, THRESHOLD)
     keep = i == j if diagonal_only else i <= j
     entities = zip(i[keep].tolist(), j[keep].tolist(), k[keep].tolist())
-    i, m, k = _cells_above(r.probs.values, tau)
+    i, m, k = _cells_above(r.probs.values, THRESHOLD)
     relations = zip(i.tolist(), m.tolist(), k.tolist())
     return PredictionSet(entities=frozenset(entities),
                          relations=frozenset(relations))

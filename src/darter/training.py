@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import ContractError, Tensor, _aligned, _lines, add, bce
+from .autodiff import ContractError, Tensor, add, aligned_rows, bce
 from .corpus import (LabelSchema, Vocabulary, entity_mask, gold_tables,
                      read_json, write_json)
 from .decoders import ALPHA_BETA_GRID
@@ -127,10 +127,9 @@ class Adam:
         self.store = store
         self.lr = lr
         self.step_count = 0
-        size = store.flat.size           # each row on whole cache lines
-        rows = _aligned(4 * _lines(size)).reshape(4, -1)
+        rows = aligned_rows(4, store.flat.size)
         rows[:2].fill(0.0)               # the moments; step writes the rest
-        self._m, self._v, self._work, self._denom = rows[:, :size]
+        self._m, self._v, self._work, self._denom = rows
 
     def step(self, g: np.ndarray) -> None:
         self.step_count += 1
@@ -179,8 +178,7 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
     prepared = [_prepare(model, s) for s in sentences]
     rng = np.random.default_rng(train_config.seed)
     optimizer = Adam(model.store, train_config.lr)
-    size = model.store.flat.size         # each row on whole cache lines
-    grads, own = _aligned(2 * _lines(size)).reshape(2, -1)[:, :size]
+    grads, own = aligned_rows(2, model.store.flat.size)
     history = []
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(prepared))

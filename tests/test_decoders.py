@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import darter.autodiff as ad
+import darter.decoders as decoders
 from darter import synthetic
 from darter.autodiff import ParamStore, Record, constant
 from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
@@ -278,13 +279,15 @@ def test_threshold_diagonal_only_mode():
     assert pred.entities == {(0, 0, 0)}
 
 
-def test_threshold_monotone_in_tau():
+def test_threshold_monotone_in_tau(monkeypatch):
     rng = np.random.default_rng(24)
     e = rng.uniform(0, 1, (4, 4, 2))
     r = rng.uniform(0, 1, (4, 4, 3))
     el, rl = _logits(e, r)
-    low = threshold_predictions(el, rl, tau=0.3)
-    high = threshold_predictions(el, rl, tau=0.7)
+    monkeypatch.setattr(decoders, "THRESHOLD", 0.3)
+    low = threshold_predictions(el, rl)
+    monkeypatch.setattr(decoders, "THRESHOLD", 0.7)
+    high = threshold_predictions(el, rl)
     assert high.entities <= low.entities
     assert high.relations <= low.relations
 
@@ -376,7 +379,7 @@ def reference_threshold(ev, rv, tau, diagonal_only):
 
 
 @pytest.mark.parametrize("diagonal_only", [False, True])
-def test_threshold_matches_a_reference_loop(diagonal_only):
+def test_threshold_matches_a_reference_loop(monkeypatch, diagonal_only):
     rng = np.random.default_rng(28)
     for t in (1, 2, 5, 17):
         for tau in (0.3, 0.5, 0.9):
@@ -385,7 +388,8 @@ def test_threshold_matches_a_reference_loop(diagonal_only):
             e[rng.uniform(size=e.shape) < 0.2] = tau     # exactly at tau
             r[rng.uniform(size=r.shape) < 0.2] = tau
             e[t - 1, 0, 0] = 0.95                        # a reversed span
-            pred = threshold_predictions(*_logits(e, r), tau=tau,
+            monkeypatch.setattr(decoders, "THRESHOLD", tau)
+            pred = threshold_predictions(*_logits(e, r),
                                          diagonal_only=diagonal_only)
             entities, relations = reference_threshold(e, r, tau,
                                                       diagonal_only)
@@ -396,7 +400,8 @@ def test_threshold_matches_a_reference_loop(diagonal_only):
 
 
 @pytest.mark.parametrize("diagonal_only", [False, True])
-def test_threshold_matches_the_reference_on_model_tables(diagonal_only):
+def test_threshold_matches_the_reference_on_model_tables(monkeypatch,
+                                                         diagonal_only):
     """A briefly trained model's tables, on the bundled corpus and on
     sentences of t = 20-150, threshold as the reference loop does."""
     corpus_path, schema_path = synthetic.synthetic_paths()
@@ -414,7 +419,8 @@ def test_threshold_matches_the_reference_on_model_tables(diagonal_only):
         ev = forward.entities.probs.values
         rv = forward.relations.probs.values
         for tau in (0.5, np.quantile(ev, 0.9), np.quantile(rv, 0.9)):
+            monkeypatch.setattr(decoders, "THRESHOLD", tau)
             pred = threshold_predictions(forward.entities, forward.relations,
-                                         tau, diagonal_only)
+                                         diagonal_only)
             assert (pred.entities, pred.relations) == reference_threshold(
                 ev, rv, tau, diagonal_only)

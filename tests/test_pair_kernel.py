@@ -21,6 +21,7 @@ from darter.training import Adam, TrainConfig
 
 import ops
 from composed import R_ONLY, r_slot
+from test_model import _bound_arrays
 
 EPS = 1e-5
 
@@ -431,12 +432,14 @@ def test_bce_rejects_non_binary_gold():
 
 @pytest.mark.parametrize("d", [3, 32])
 def test_reused_buffers_start_on_cache_lines(monkeypatch, d):
-    """scratch, both dam workspaces (w_ab too, after an odd d's step matrix)
-    and a streamed pair block with its ELU work half (15 doubles at d = 3)
-    start on 64-byte boundaries."""
+    """Every row of aligned_rows, both dam workspaces (w_ab too, after an
+    odd d's step matrix) and a streamed pair block with its ELU work half
+    (15 doubles at d = 3) start on 64-byte boundaries."""
     monkeypatch.setattr(ad, "_workspaces", threading.local())
     for size in (1, 13, 1000):
-        assert ad.scratch(f"test{size}", size).ctypes.data % 64 == 0
+        rows = ad.aligned_rows(3, size)
+        assert rows.shape == (3, size)
+        assert [row.ctypes.data % 64 for row in rows] == [0] * 3
     rng = np.random.default_rng(d)
     weights = [rng.standard_normal((3, d, d)) for _ in range(3)]
     for transposed in (False, True):
@@ -493,8 +496,10 @@ def test_adam_buffers_start_on_cache_lines(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["darter", "bidarter"])
 def test_no_model_sized_buffer_outlives_train(monkeypatch, variant):
-    """Once `train` returns, no array that this thread's workspaces hold
-    is as long as the flat parameter vector: Adam's rows go with the
+    """Once `train` returns, the only arrays that this thread's workspaces
+    hold, closure cells included, and that are as long as the flat
+    parameter vector are the recurrent layer's two packs, each of
+    3 (3 d_h)^2 doubles and at most 7 of padding: Adam's rows go with the
     optimizer."""
     monkeypatch.setattr(ad, "_workspaces", threading.local())
     corpus_path, schema_path = synthetic.synthetic_paths()
@@ -503,9 +508,18 @@ def test_no_model_sized_buffer_outlives_train(monkeypatch, variant):
     model = JointModel(ModelConfig(variant=variant), schema,
                        Vocabulary.from_corpus(sentences))
     training.train(model, sentences, TrainConfig(epochs=1))
-    held = {name: value.size for name, value in vars(ad._workspaces).items()
-            if isinstance(value, np.ndarray)}
-    assert all(size < model.store.flat.size for size in held.values()), held
+    held = {}                            # each distinct buffer, once
+    for name, (_, value) in vars(ad._workspaces).items():
+        for arr in _bound_arrays(value, set()):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            held[id(arr)] = (name, arr.size)
+    pack = 3 * (3 * model.config.d_h) ** 2
+    assert sorted(name for name, size in held.values() if size >= pack) == [
+        "dam", "dam_backward"], held
+    assert all(name in ("dam", "dam_backward") and size <= pack + 7
+               for name, size in held.values()
+               if size >= model.store.flat.size), held
 
 
 def _allocate_at(offset):
@@ -557,9 +571,8 @@ def test_buffer_placement_never_changes_bits(monkeypatch, variant):
     aligned = outputs()
     for offset in (16, 48):
         monkeypatch.setattr(ad, "_aligned", _allocate_at(offset))
-        monkeypatch.setattr(training, "_aligned", _allocate_at(offset))
         assert outputs() == aligned
-        assert ad._workspaces.pair.ctypes.data % 64 == offset
+        assert ad._workspaces.pair[1].ctypes.data % 64 == offset
         adam = adams[-1]
         assert {row.ctypes.data % 64 for row in (
             adam._m, adam._v, adam._work, adam._denom)} == {offset}

@@ -70,7 +70,7 @@ def test_the_library_defines_only_the_live_operations():
     runs a layer, traces one, or stacks them."""
     assert _public_functions(ad) == {
         "take", "add", "affine_const", "dam_sequence", "pair_heads", "bce",
-        "constant", "scratch"}
+        "constant", "aligned_rows"}
     assert _public_functions(decoders) == {
         "relation_coefficients", "decode_streams", "threshold_predictions"}
     assert _public_functions(encoder) == {
@@ -157,6 +157,20 @@ def test_every_imported_name_is_used():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert not unused
+
+
+def test_no_library_module_imports_another_ones_private_names():
+    """A darter module reads only the public names of the others, so a
+    helper that two modules share is part of the library's surface."""
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "darter"):
+                private += [f"{path.stem}: {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private
 
 
 def _parameters(fn) -> list[tuple]:

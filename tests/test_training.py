@@ -585,7 +585,7 @@ def test_flat_adam_matches_per_name_reference_bit_for_bit():
 
     flat_store, ref_store = store(), store()
     flat, ref = Adam(flat_store, lr=0.03), ReferenceAdam(ref_store, lr=0.03)
-    # a larger optimizer stepping in between shares the thread's scratch
+    # a larger optimizer stepping in between must not disturb this one
     other_store = ParamStore(2)
     other_store.add_uniform("big", (7, 9), fan_in=7)
     other = Adam(other_store, lr=0.5)
