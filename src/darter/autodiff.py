@@ -234,28 +234,25 @@ def _layer_norm_backward(g, xhat, inv, gv):
 # ---------------------------------------------------------------------------
 # structure
 
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along an axis; backward scatter-adds (duplicates sum)."""
+def take(a: Tensor, indices) -> Tensor:
+    """Gather rows; backward scatter-adds (duplicates sum)."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"take indices must be 1-d, got shape {idx.shape}")
     av = a.values
-    if axis < 0 or axis >= av.ndim:
-        raise ShapeError(f"take axis {axis} out of range for shape {av.shape}")
+    if av.ndim == 0:
+        raise ShapeError("take needs an input of at least one dimension")
     # as unsigned, negative indices wrap to huge ones: one bound covers both
-    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= av.shape[axis]:
-        raise ContractError(f"take index out of range for axis {axis} of "
-                            f"shape {av.shape}")
+    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= len(av):
+        raise ContractError(f"take index out of range for shape {av.shape}")
     ash = av.shape
-    where = (slice(None),) * axis + (idx,)
-    out = av[where]
 
     def backward(g):
         ga = np.zeros(ash, dtype=np.float64)
-        np.add.at(ga, where, g)
+        np.add.at(ga, idx, g)
         return (ga,)
 
-    return _emit("take", (a,), out, backward)
+    return _emit("take", (a,), av[idx], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +487,8 @@ def dam_sequence(x: Tensor, w_z: Tensor, b_z: Tensor, w_f: Tensor,
 _PAIR_BLOCK = 2 ** 15
 # the pair heads' layer-norm epsilon, added to the variance
 _NORM_EPS = 1e-5
+# bce clamps probabilities into [_CLAMP_EPS, 1 - _CLAMP_EPS]
+_CLAMP_EPS = 1e-7
 
 
 def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
@@ -556,6 +555,9 @@ def pair_heads(layers: Sequence[Tensor],
     workspace of that size (one pair row, if a row is larger), a block of
     pair rows at a time, which backward recomputes; one-block tables are kept.
     """
+    if not layers or not heads:
+        raise ContractError("pair_heads needs at least one encoder output "
+                            f"and one head, got {len(layers)}, {len(heads)}")
     values = [layer.values for layer in layers]
     n = len(values)
     shape = values[0].shape
@@ -666,15 +668,15 @@ def _pair_backward(shape, coeffs, w_outv, probs, feats, w_ij, sides, inv,
 
 
 def bce(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
-        eps: float = 1e-7, weight: float = 1.0) -> Tensor:
+        *, weight: float = 1.0) -> Tensor:
     """-sum(mask * (gold * log(p) + (1 - gold) * log(1 - p))) * weight with
-    p = clamp(probs, eps, 1 - eps), as one node: the loss of one table.
+    p = clamp(probs, _CLAMP_EPS, 1 - _CLAMP_EPS), one node: one table's loss.
 
     gold and mask are read as float64 arrays of probs' shape (else a
     ShapeError), gold binary (else a ContractError). Each cell takes one
     log, of p where gold is 1 and of 1 - p where it is 0: the reference
     ops' clamp/log/mul/sum chain and affine_const(., weight, 0.0) to the
-    bit, backward too, with their checks.
+    bit, backward too; the chain's clamp and log checks cannot fail here.
     """
     av = probs.values
     gold = _as_f64(gold)
@@ -688,15 +690,9 @@ def bce(probs: Tensor, gold: np.ndarray, mask: np.ndarray | None = None,
     hit = gold != 0.0
     if not np.logical_and.reduce((gold == hit).ravel()):
         raise ContractError("gold tables must be binary")
-    lo, hi = eps, 1.0 - eps
-    if not lo < hi:
-        raise ContractError(f"clamp bounds must satisfy lo < hi, got {lo}, {hi}")
+    lo, hi = _CLAMP_EPS, 1.0 - _CLAMP_EPS
     p = np.minimum(np.maximum(av, lo), hi)
-    q = 1.0 - p
-    # with 0 < lo and hi < 1 every clamped value and its complement is
-    # positive (or NaN, which log accepts too)
-    if not (lo > 0.0 and hi < 1.0) and (np.any(p <= 0.0) or np.any(q <= 0.0)):
-        raise ContractError("log requires strictly positive values")
+    q = 1.0 - p          # p and q are positive, or NaN, which log accepts too
     cells = np.log(np.where(hit, p, q))
     if mask is not None:
         cells *= mask

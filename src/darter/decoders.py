@@ -99,8 +99,6 @@ def decode_streams(layers: list[Tensor], ner_head: DecoderParams,
     """Decode from every encoder layer's [t, 2, 3, d_h] output at once; the
     pair features concatenate all layers' mixed streams in layer order.
     Both heads run in one `autodiff.pair_heads` pass, one node each."""
-    if not layers:
-        raise ContractError("decode_streams needs at least one encoder output")
     re_coeffs = relation_coefficients(alpha, beta, entity_features)
     entities, relations = pair_heads(layers, [(ENTITY_COEFFS, *ner_head),
                                               (re_coeffs, *re_head)])

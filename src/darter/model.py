@@ -190,7 +190,7 @@ class JointModel:
                 cached = self._unrecorded = (bound, self._structs(bound))
             structs = cached[1]
         layers, ner_head, re_head = structs
-        x = take(bound["embedding"], token_ids, axis=0)
+        x = take(bound["embedding"], token_ids)
         outs = encode_stacked(x, layers, interaction=config.interaction)
         entities, relations = decode_streams(
             outs, ner_head, re_head, config.alpha, config.beta,

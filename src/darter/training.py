@@ -65,19 +65,16 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 1
     seed: int = 0
-    clamp_eps: float = 1e-7
 
     def __post_init__(self):
         check_types(self, integers=("epochs", "batch_size", "seed"),
-                    reals=("lr", "clamp_eps"))
+                    reals=("lr",))
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if not 0.0 < self.clamp_eps <= 1e-3:
-            raise ConfigError("clamp_eps must lie in (0, 1e-3]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -87,14 +84,13 @@ class TrainConfig:
 
 
 def sentence_loss(forward, entity_gold: np.ndarray, relation_gold: np.ndarray,
-                  mask: np.ndarray | None, weights: LossWeights,
-                  eps: float = 1e-7) -> Tensor:
+                  mask: np.ndarray | None, weights: LossWeights) -> Tensor:
     """gamma * entity-table BCE + delta * relation-table BCE: three nodes,
     with the weights applied inside the BCE nodes."""
-    return add(bce(forward.entities.probs, entity_gold, mask, eps,
-                   weights.gamma),
-               bce(forward.relations.probs, relation_gold, None, eps,
-                   weights.delta))
+    return add(bce(forward.entities.probs, entity_gold, mask,
+                   weight=weights.gamma),
+               bce(forward.relations.probs, relation_gold,
+                   weight=weights.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +185,7 @@ def train(model: JointModel, sentences, train_config: TrainConfig,
                 token_ids, entity_gold, relation_gold, mask = prepared[idx]
                 forward = model.forward(token_ids)
                 loss = sentence_loss(forward, entity_gold, relation_gold,
-                                     mask, weights, train_config.clamp_eps)
+                                     mask, weights)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise TrainingDiverged(

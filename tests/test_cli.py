@@ -664,6 +664,8 @@ def test_malformed_run_config_names_the_file(tmp_path, capsys, entries,
     ("gridsearch", {"dev_corpus": "dev.jsonl", "grid_results": "grid.json",
                     "grid": {"gammas": [2.0]}},
      "grid: grid.gammas must be a non-empty subset"),
+    ("train", {"train": {"clamp_eps": 1e-7}},
+     "unknown train keys ['clamp_eps']"),
 ])
 def test_section_errors_name_the_config_and_the_section(tmp_path, capsys,
                                                         command, over,
@@ -721,8 +723,7 @@ BEYOND_FLOAT = 10 ** 400   # a JSON integer no float64 holds
 @pytest.mark.parametrize("section,key", [
     *(("model", key) for key in ("n_layers", "d_p", "d_h", "seed", "alpha",
                                  "beta")),
-    *(("train", key) for key in ("lr", "epochs", "batch_size", "seed",
-                                 "clamp_eps")),
+    *(("train", key) for key in ("lr", "epochs", "batch_size", "seed")),
     *(("loss", key) for key in ("gamma", "delta")),
 ])
 def test_a_run_config_integer_beyond_float_range_is_exit_2(tmp_path, capsys,

@@ -427,7 +427,7 @@ def composed_sequence(x, params, reverse, interaction):
     state = DamState.zeros(params.d_h)
     tildes, hiddens = [None] * t, [None] * t
     for i in order:
-        z_t = ad.take(z_all, [i], axis=1)
+        z_t = ops.index(z_all, (slice(None), slice(i, i + 1)))
         tildes[i], hiddens[i], state, _ = dam_step(z_t, state, params,
                                                     interaction)
     return ops.concat(tildes, axis=1), ops.concat(hiddens, axis=1)

@@ -416,15 +416,29 @@ def test_heads_must_share_d_h():
         ad.pair_heads([layer], heads)
 
 
+def test_pair_heads_needs_a_layer():
+    rng = np.random.default_rng(4)
+    head = ((1.0, 0.0, 1.0),
+            *(constant(v) for v in head_params(rng, 1, 4, 4, 2).values()))
+    with pytest.raises(ad.ContractError, match="at least one encoder output"):
+        ad.pair_heads([], [head])
+
+
+def test_pair_heads_needs_a_head():
+    layer = constant(np.random.default_rng(4).standard_normal((3, 2, 3, 4)))
+    with pytest.raises(ad.ContractError, match="and one head"):
+        ad.pair_heads([layer], [])
+
+
 def test_bce_rejects_non_binary_gold():
     probs = constant(np.full((2, 2, 1), 0.5))
     for gold in (np.full((2, 2, 1), 0.5), np.full((2, 2, 1), 2.0),
                  np.full((2, 2, 1), np.nan), np.full((2, 2, 1), -1.0)):
         with pytest.raises(ad.ContractError, match="binary"):
-            ad.bce(probs, gold, eps=1e-7)
+            ad.bce(probs, gold)
     gold = np.zeros((2, 2, 1))
     gold[0, 1, 0] = 1.0
-    assert np.isfinite(ad.bce(probs, gold, eps=1e-7).item())
+    assert np.isfinite(ad.bce(probs, gold).item())
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,14 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
     assert not hasattr(training, "bce_sum")
     assert _parameters(ad.bce) == [
         ("probs", required), ("gold", required), ("mask", None),
-        ("eps", 1e-7), ("weight", 1.0)]
+        ("weight", 1.0)]
+    assert (inspect.signature(ad.bce).parameters["weight"].kind
+            is inspect.Parameter.KEYWORD_ONLY)
+    assert [name for name, _ in _parameters(training.sentence_loss)] == [
+        "forward", "entity_gold", "relation_gold", "mask", "weights"]
+    assert _parameters(ad.take) == [("a", required), ("indices", required)]
+    assert tuple(TrainConfig.__dataclass_fields__) == (
+        "lr", "epochs", "batch_size", "seed")
     assert _parameters(ad.pair_heads) == [("layers", required),
                                           ("heads", required)]
     assert _parameters(training.Adam.__init__) == [

@@ -80,7 +80,7 @@ def test_bce_rejects_a_mask_of_the_wrong_shape():
 
 def test_bce_clamp_keeps_saturated_probabilities_finite():
     probs = constant(np.array([[0.0, 1.0]]))
-    value = ad.bce(probs, np.array([[1.0, 0.0]]), eps=1e-7).item()
+    value = ad.bce(probs, np.array([[1.0, 0.0]])).item()
     assert np.isfinite(value)
     assert abs(value - 2 * -math.log(1e-7)) <= 1e-6
 
@@ -88,7 +88,7 @@ def test_bce_clamp_keeps_saturated_probabilities_finite():
 def test_bce_perfect_prediction_is_only_clamp_deep():
     gold = np.array([[1.0, 0.0], [0.0, 1.0]])
     eps = 1e-7
-    value = ad.bce(constant(gold), gold, eps=eps).item()
+    value = ad.bce(constant(gold), gold).item()
     assert 0.0 < value <= gold.size * -math.log(1.0 - eps) + 1e-15
 
 
@@ -182,10 +182,6 @@ def test_train_config_contracts():
         TrainConfig(lr=-1e-3)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(clamp_eps=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(clamp_eps=0.01)
 
 
 @pytest.mark.parametrize("field", ["epochs", "seed"])
@@ -502,17 +498,19 @@ def composed_bce(probs, gold, mask=None, eps=1e-7):
     return ad.affine_const(ops.sum_all(cells), -1.0, 0.0)
 
 
-def _bce_value_and_grad(loss_fn, probs, gold, mask, eps):
+def _bce_value_and_grad(loss_fn, probs, gold, mask):
     rec = Record()
     leaf = rec.leaf(probs)
-    loss = ad.affine_const(loss_fn(leaf, gold, mask, eps), 0.85, 0.0)
+    loss = ad.affine_const(loss_fn(leaf, gold, mask), 0.85, 0.0)
     rec.backward(loss)
     return loss.values, rec.grad(leaf)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("eps", [1e-3, 1e-7, 1e-16])
-def test_fused_bce_matches_composed_chain_bit_for_bit(masked, eps):
+def test_fused_bce_matches_composed_chain_bit_for_bit(monkeypatch, masked,
+                                                      eps):
+    monkeypatch.setattr(ad, "_CLAMP_EPS", eps)
     rng = np.random.default_rng(int(-math.log10(eps)) + 10 * masked)
     # sigmoid outputs, like the heads': 1 - p is then rarely exact
     probs = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, (5, 5, 3))))
@@ -523,15 +521,16 @@ def test_fused_bce_matches_composed_chain_bit_for_bit(masked, eps):
     gold.flat[:8] = (1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
     mask = (np.triu(np.ones((5, 5)))[:, :, None] * np.ones(3)
             if masked else None)
-    fused = _bce_value_and_grad(ad.bce, probs, gold, mask, eps)
-    composed = _bce_value_and_grad(composed_bce, probs, gold, mask, eps)
+    fused = _bce_value_and_grad(ad.bce, probs, gold, mask)
+    composed = _bce_value_and_grad(
+        lambda p, y, m: composed_bce(p, y, m, eps), probs, gold, mask)
     for got, want in zip(fused, composed):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     # a table's sum can round a last-bit difference of one cell away
     for p, y in zip(probs.ravel(), gold.ravel()):
         cell = constant(np.full((1, 1), p))
-        assert (ad.bce(cell, np.full((1, 1), y), eps=eps).values.tobytes()
+        assert (ad.bce(cell, np.full((1, 1), y)).values.tobytes()
                 == composed_bce(cell, np.full((1, 1), y), eps=eps)
                 .values.tobytes())
 
@@ -545,9 +544,8 @@ def test_fused_bce_matches_composed_chain_bit_for_bit(masked, eps):
 def test_fused_bce_keeps_the_clamp_and_log_contracts(probs, eps, message):
     probs = constant(np.array([probs]))
     gold = np.array([[1.0, 0.0]])
-    for loss_fn in (ad.bce, composed_bce):
-        with pytest.raises(ContractError, match=message):
-            loss_fn(probs, gold, None, eps)
+    with pytest.raises(ContractError, match=message):
+        composed_bce(probs, gold, None, eps)
 
 
 class ReferenceAdam:
@@ -624,7 +622,7 @@ def reference_train(model, sentences, config, weights):
             for idx in batch:
                 ids, entity_gold, relation_gold, mask = prepared[idx]
                 forward = model.forward(ids)
-                eps = config.clamp_eps
+                eps = ad._CLAMP_EPS
                 loss = ad.add(
                     ad.affine_const(composed_bce(forward.entities.probs,
                                                  entity_gold, mask, eps),
@@ -675,9 +673,8 @@ def test_parameters_the_loss_does_not_reach_keep_their_bytes(monkeypatch,
     """With a loss of the entity table alone, the relation head's
     parameters get zero gradients and Adam leaves them as they were;
     every other parameter moves."""
-    def entity_loss(forward, entity_gold, relation_gold, mask, weights,
-                    eps):
-        return ad.bce(forward.entities.probs, entity_gold, mask, eps)
+    def entity_loss(forward, entity_gold, relation_gold, mask, weights):
+        return ad.bce(forward.entities.probs, entity_gold, mask)
 
     monkeypatch.setattr(training, "sentence_loss", entity_loss)
     schema, sentences, vocab = bundled_corpus()
@@ -739,7 +736,6 @@ def test_weighted_bce_nodes_match_the_affine_chain_bit_for_bit(gamma,
     gold_e = (rng.uniform(size=probs_e.shape) > 0.7).astype(float)
     gold_r = (rng.uniform(size=probs_r.shape) > 0.8).astype(float)
     mask = entity_mask(t, u, MatchMode.EXACT)
-    eps = 1e-7
 
     def run(loss_fn):
         rec = Record()
@@ -755,13 +751,13 @@ def test_weighted_bce_nodes_match_the_affine_chain_bit_for_bit(gamma,
 
     def chain(forward):
         return ad.add(
-            ad.affine_const(ad.bce(forward.entities.probs, gold_e, mask,
-                                   eps), gamma, 0.0),
-            ad.affine_const(ad.bce(forward.relations.probs, gold_r, None,
-                                   eps), delta, 0.0))
+            ad.affine_const(ad.bce(forward.entities.probs, gold_e, mask),
+                            gamma, 0.0),
+            ad.affine_const(ad.bce(forward.relations.probs, gold_r),
+                            delta, 0.0))
 
     nodes, value, grads = run(lambda forward: sentence_loss(
-        forward, gold_e, gold_r, mask, LossWeights(gamma, delta), eps))
+        forward, gold_e, gold_r, mask, LossWeights(gamma, delta)))
     chain_nodes, chain_value, chain_grads = run(chain)
     assert (nodes, chain_nodes) == (3, 5)
     assert np.asarray(value).tobytes() == np.asarray(chain_value).tobytes()
