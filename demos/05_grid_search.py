@@ -6,6 +6,8 @@ losses (gamma, delta). Each grid point refits from the same seed; the best
 dev relation F1 wins, entity F1 breaks ties, then the smallest tuple.
 """
 
+from dataclasses import asdict
+
 from darter.corpus import Vocabulary
 from darter.model import ModelConfig
 from darter.synthetic import synthetic_corpus, synthetic_schema
@@ -37,4 +39,4 @@ best = result.best
 print(f"\nselected alpha={best.alpha} beta={best.beta} "
       f"gamma={best.gamma} delta={best.delta} "
       f"(re F1 {best.re_f1:.3f}, ner F1 {best.ner_f1:.3f})")
-print("\nserialized:", sorted(result.to_json()))
+print("\nserialized:", sorted(asdict(result)))

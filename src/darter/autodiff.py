@@ -567,7 +567,8 @@ def pair_heads(layers: Sequence[Tensor],
                          f"shape, got {[v.shape for v in values]}")
     t, w = shape[0], shape[3]
     n_heads = len(heads)
-    d_h = heads[0][1].values.shape[1]
+    d_h = heads[0][1].values.shape[-1] if heads[0][1].values.ndim else 0
+    pair_shape, vec = (2 * n * w, d_h), (d_h,)   # w_pair's, b_pair's shapes
     # every layer's h_tilde streams side by side, [t, 3, n * w]
     streams = values[0][:, 0] if n == 1 else np.concatenate(
         [v[:, 0] for v in values], axis=-1)
@@ -577,11 +578,19 @@ def pair_heads(layers: Sequence[Tensor],
     w_ijs, logits_at = [], [0]
     for h, (coeffs, w_pair, b_pair, ln_gain, ln_bias, w_out,
             b_out) in enumerate(heads):
-        wv = w_pair.values
-        if len(coeffs) != 3 or wv.shape != (2 * n * w, d_h):
-            raise ShapeError(f"head {h}: {len(coeffs)} coefficients, w_pair "
-                             f"{wv.shape}; {n} layers of width {w} need 3 and "
-                             f"{2 * n * w} rows by the heads' d_h, {d_h}")
+        wv, w_outv = w_pair.values, w_out.values
+        width = w_outv.shape[-1] if w_outv.ndim else 0
+        got = (len(coeffs), wv.shape, b_pair.values.shape,
+               ln_gain.values.shape, ln_bias.values.shape, w_outv.shape,
+               b_out.values.shape)
+        want = (3, pair_shape, vec, vec, vec, (d_h, width), (width,))
+        if got != want:             # name the first field that is off
+            field, g, e = next(c for c in zip(
+                ("coeffs", "w_pair", "b_pair", "ln_gain", "ln_bias", "w_out",
+                 "b_out"), got, want) if c[1] != c[2])
+            raise ShapeError(f"head {h}: {field} is {g}, not {e} (w_pair "
+                             f"has {pair_shape[0]} rows for {n} layers of "
+                             f"width {w}, by the heads' d_h, {d_h})")
         _mix_streams(streams, [(k, coeffs[k]) for k in _MIX_ORDER
                                if coeffs[k] != 0.0], feats[h])
         # rows of w_pair, per layer: w reading token i, then w reading j
@@ -591,7 +600,7 @@ def pair_heads(layers: Sequence[Tensor],
         w_ijs.append(w_ij)
         affine[h, 0], affine[h, 1], affine[h, 2] = (
             b_pair.values, ln_gain.values, ln_bias.values)
-        logits_at.append(logits_at[-1] + t * t * w_out.values.shape[1])
+        logits_at.append(logits_at[-1] + t * t * width)
     sides[:, :, 1] += affine[:, None, 0]
     inv = _pair_norm_stats(sides, _NORM_EPS)
     scaled = sides * affine[:, None, None, 1]

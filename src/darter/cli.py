@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .autodiff import ContractError
@@ -215,7 +216,7 @@ def cmd_gridsearch(args, run: dict) -> int:
     result = grid_search(model_config, schema, vocab, train_corpus,
                          dev_corpus, train_config, **grids)
     out_path = _output_path(args, run, "grid_results")
-    write_json(out_path, result.to_json(), indent=2)
+    write_json(out_path, asdict(result), indent=2)
     best = result.best
     print(f"swept {len(result.points)} grid points; best alpha={best.alpha} "
           f"beta={best.beta} gamma={best.gamma} delta={best.delta} "

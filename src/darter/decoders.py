@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import ContractError, ParamStore, Tensor, pair_heads
 
-ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)
+ALPHA_BETA_GRID = (-1.0, 0.5, 1.0)   # ModelConfig checks alpha and beta
 THRESHOLD = 0.5     # a cell is predicted if its probability is above this
 
 
@@ -77,29 +77,13 @@ class PredictionSet:
 ENTITY_COEFFS = (1.0, 0.0, 1.0)
 
 
-def relation_coefficients(alpha: float, beta: float,
-                          entity_features: bool = True
-                          ) -> tuple[float, float, float]:
-    """Stream coefficients (s, r, o) of the relation head: the relation
-    stream plus alpha * object - beta * subject, or the relation stream
-    alone without entity features (then alpha and beta go unchecked)."""
-    if not entity_features:
-        return (0.0, 1.0, 0.0)
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if val not in ALPHA_BETA_GRID:
-            raise ContractError(f"{name} must be one of {ALPHA_BETA_GRID}, "
-                                f"got {val}")
-    return (-beta, 1.0, alpha)
-
-
 def decode_streams(layers: list[Tensor], ner_head: DecoderParams,
-                   re_head: DecoderParams, alpha: float, beta: float,
-                   entity_features: bool = True
+                   re_head: DecoderParams, re_coeffs: tuple
                    ) -> tuple[EntityLogits, RelationLogits]:
     """Decode from every encoder layer's [t, 2, 3, d_h] output at once; the
     pair features concatenate all layers' mixed streams in layer order.
-    Both heads run in one `autodiff.pair_heads` pass, one node each."""
-    re_coeffs = relation_coefficients(alpha, beta, entity_features)
+    The relation head mixes the streams with `re_coeffs`, its (s, r, o)
+    triple. Both heads run in one `autodiff.pair_heads` pass, one node each."""
     entities, relations = pair_heads(layers, [(ENTITY_COEFFS, *ner_head),
                                               (re_coeffs, *re_head)])
     return EntityLogits(entities), RelationLogits(relations)

@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import (ContractError, ParamStore, ShapeError, Tensor,
-                       dam_sequence)
+from .autodiff import ContractError, ParamStore, Tensor, dam_sequence
 
 SUBTASKS = ("s", "r", "o")
 
@@ -114,15 +113,12 @@ def encode_stacked(x: Tensor, layers: list[DamParams],
                    interaction: bool = True) -> list[Tensor]:
     """Run a stack of cells, alternating direction from left-to-right at
     layer 0; layer l > 0 reads the previous layer's per-token hidden sum
-    h_s + h_r + h_o. Every layer's output is returned, because the
-    decoders read every layer."""
+    h_s + h_r + h_o, and `dam_sequence` checks its width. Every layer's
+    output is returned, because the decoders read every layer."""
     if len(layers) < 1:
         raise ContractError("need at least one layer")
     outputs: list[Tensor] = []
     for idx, params in enumerate(layers):
-        if idx > 0 and params.d_in != layers[idx - 1].d_h:
-            raise ShapeError(f"layer {idx} expects input width {params.d_in}, "
-                             f"previous layer produces {layers[idx - 1].d_h}")
         x = encode_sequence(x, params, idx % 2 == 1, interaction)
         outputs.append(x)
     return outputs

@@ -192,9 +192,10 @@ class JointModel:
         layers, ner_head, re_head = structs
         x = take(bound["embedding"], token_ids)
         outs = encode_stacked(x, layers, interaction=config.interaction)
-        entities, relations = decode_streams(
-            outs, ner_head, re_head, config.alpha, config.beta,
-            entity_features=config.entity_features_in_re)
+        re_coeffs = ((-config.beta, 1.0, config.alpha)
+                     if config.entity_features_in_re else (0.0, 1.0, 0.0))
+        entities, relations = decode_streams(outs, ner_head, re_head,
+                                             re_coeffs)
         return ModelForward(entities=entities, relations=relations,
                             record=record, bound=bound)
 

@@ -11,7 +11,7 @@ F1, then entity F1, then first in enumeration order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,9 +231,6 @@ class GridPoint:
 class GridSearchResult:
     best: GridPoint
     points: tuple[GridPoint, ...]
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _default_scorer(model: JointModel, dev_sentences):

@@ -14,8 +14,7 @@ import numpy as np
 
 from darter.autodiff import (ContractError, ShapeError, Tensor, add,
                              affine_const, constant)
-from darter.decoders import (EntityLogits, RelationLogits, decode_streams,
-                             relation_coefficients)
+from darter.decoders import EntityLogits, RelationLogits, decode_streams
 from darter.encoder import _MIX, DamParams
 
 from ops import (broadcast_add, concat, matmul, mul, pair_decode, reshape,
@@ -126,7 +125,6 @@ def re_decode(h_r: Tensor, h_s: Tensor, h_o: Tensor, head, alpha: float,
               beta: float, entity_features: bool = True) -> RelationLogits:
     """Single-layer relation table."""
     if entity_features:
-        relation_coefficients(alpha, beta)        # the grid check
         feats = add(h_r, sub(affine_const(h_o, alpha), affine_const(h_s, beta)))
     else:
         feats = h_r
@@ -139,6 +137,6 @@ def bi_decode(outs, ner_head, re_head, alpha: float, beta: float,
     if len(outs) != 2:
         raise ContractError(f"bi_decode expects 2 directional outputs, "
                             f"got {len(outs)}")
-    return decode_streams(outs, ner_head, re_head, alpha, beta,
-                          entity_features)
+    re_coeffs = (-beta, 1.0, alpha) if entity_features else R_ONLY
+    return decode_streams(outs, ner_head, re_head, re_coeffs)
 

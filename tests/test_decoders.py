@@ -10,8 +10,7 @@ from darter import synthetic
 from darter.autodiff import ParamStore, Record, constant
 from darter.corpus import LabelSchema, MatchMode, Vocabulary, load_corpus
 from darter.decoders import (DecoderParams, EntityLogits, RelationLogits,
-                             decode_streams, relation_coefficients,
-                             threshold_predictions)
+                             decode_streams, threshold_predictions)
 from darter.encoder import SUBTASKS
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import JointModel, ModelConfig
@@ -136,19 +135,6 @@ def test_re_decode_alpha_beta_cancellation():
     npt.assert_array_equal(mixed.probs.values, plain.probs.values)
 
 
-def test_re_decode_rejects_off_grid_coefficients():
-    store = head_store(14, 1, 4, 2)
-    rec, head = bind_head(store)
-    rng = np.random.default_rng(15)
-    h = rec.leaf(rng.standard_normal((2, 4)))
-    with pytest.raises(ad.ContractError, match="alpha"):
-        re_decode(h, h, h, head, 0.3, 1.0)
-    with pytest.raises(ad.ContractError, match="beta"):
-        re_decode(h, h, h, head, 1.0, 0.0)
-    # unused coefficients are not validated
-    re_decode(h, h, h, head, 0.3, 0.0, entity_features=False)
-
-
 def test_pair_decode_shape_contracts():
     store = head_store(16, 1, 4, 2)
     rec, head = bind_head(store)
@@ -178,7 +164,7 @@ def test_decode_streams_needs_an_encoder_output():
     bound = store.bind(Record())
     with pytest.raises(ad.ContractError, match="at least one encoder output"):
         decode_streams([], DecoderParams.bind(bound, "head"),
-                       DecoderParams.bind(bound, "re"), 1.0, 1.0)
+                       DecoderParams.bind(bound, "re"), (-1.0, 1.0, 1.0))
 
 
 def test_bi_decode_requires_two_streams():
@@ -230,7 +216,7 @@ def test_decode_streams_matches_single_heads():
     rng = np.random.default_rng(23)
     out = fake_output(rec, 3, 4, rng)
     e, r = decode_streams([out], DecoderParams.bind(bound, "head"),
-                          DecoderParams.bind(bound, "re"), 0.5, 1.0)
+                          DecoderParams.bind(bound, "re"), (-1.0, 1.0, 0.5))
     h = {p: ops.index(out, (slice(None), 0, k))
          for k, p in enumerate(SUBTASKS)}
     e2 = ner_decode(h["s"], h["o"], DecoderParams.bind(bound, "head"))
@@ -349,8 +335,7 @@ def test_relation_stream_matches_the_composed_chain():
                 for k, p in enumerate(SUBTASKS):
                     stacked[:, 0, k] = values[p]
                 leaf = rec.leaf(stacked)
-                probs = pair_decode([leaf],
-                                    relation_coefficients(alpha, beta), head)
+                probs = pair_decode([leaf], (-beta, 1.0, alpha), head)
             else:
                 h = {p: rec.leaf(v) for p, v in values.items()}
                 feats = ad.add(h["r"], ops.sub(ad.affine_const(h["o"], alpha),

@@ -367,7 +367,7 @@ def test_stacked_contracts():
     x = rec.leaf(np.zeros((2, 3)))
     with pytest.raises(ad.ContractError):
         encode_stacked(x, [])
-    with pytest.raises(ad.ShapeError, match="layer 1"):
+    with pytest.raises(ad.ShapeError, match="dam_sequence reads"):
         encode_stacked(x, [DamParams.bind(bound, "dam0"),
                            DamParams.bind(bound, "dam1")])
 

@@ -14,6 +14,7 @@ import pytest
 import darter.autodiff as ad
 from darter.autodiff import Record, constant
 from darter.corpus import LabelSchema, MatchMode, Vocabulary
+from darter.decoders import ALPHA_BETA_GRID
 from darter.gradcheck import max_relative_error, numeric_gradients
 from darter.model import ConfigError, JointModel, ModelConfig, check_size
 
@@ -236,6 +237,29 @@ def test_recorded_and_unrecorded_forwards_are_bit_identical(
                            plain.relations.probs.values)
 
 
+@pytest.mark.parametrize("variant", ["darter", "bidarter"])
+def test_alpha_and_beta_reach_the_relation_table_only_with_entity_features(
+        variant):
+    """Without entity features the relation head reads the relation stream
+    alone, so every (alpha, beta) on the grid gives the same tables to the
+    bit; with them, each pair gives its own relation table. The entity
+    table never depends on alpha or beta."""
+    ids = VOCAB.encode(["ada", "built", "acme", "mill"])
+    for features in (False, True):
+        entities, relations = set(), set()
+        for alpha in ALPHA_BETA_GRID:
+            for beta in ALPHA_BETA_GRID:
+                config = tiny_config(variant=variant, alpha=alpha, beta=beta,
+                                     entity_features_in_re=features)
+                forward = JointModel(config, SCHEMA, VOCAB).forward(
+                    ids, recording=False)
+                entities.add(forward.entities.probs.values.tobytes())
+                relations.add(forward.relations.probs.values.tobytes())
+        assert len(entities) == 1
+        assert len(relations) == (len(ALPHA_BETA_GRID) ** 2 if features
+                                  else 1)
+
+
 # ---------------------------------------------------------------------------
 # the parameter structs unrecorded forwards reuse
 
@@ -311,7 +335,8 @@ def test_a_recorded_step_is_freed_without_the_cycle_collector(variant):
 # the fused kernels' per-thread workspaces
 
 def _wide_model(variant, seed):
-    """d_h = 32: a 40-token sentence's pair tables stream through scratch."""
+    """d_h = 32: a 40-token sentence's pair tables stream through the
+    `pair` workspace."""
     return JointModel(tiny_config(variant=variant, d_p=32, d_h=32, seed=seed),
                       SCHEMA, VOCAB)
 

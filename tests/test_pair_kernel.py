@@ -2,6 +2,7 @@
 cancellation case and gradients, its table streamed in blocks of pair rows,
 the shared pointwise helpers, and where the kernels' reused buffers start."""
 
+import re
 import threading
 import tracemalloc
 
@@ -414,6 +415,25 @@ def test_heads_must_share_d_h():
              for coeffs, d_h in (((1.0, 0.0, 1.0), 4), ((0.0, 1.0, 0.0), 3))]
     with pytest.raises(ad.ShapeError, match="heads' d_h"):
         ad.pair_heads([layer], heads)
+
+
+@pytest.mark.parametrize("h,field,shape", [
+    (0, "w_pair", (16,)), (0, "w_pair", ()), (1, "b_pair", (5,)),
+    (0, "ln_gain", (3,)), (1, "ln_bias", (4, 1)), (0, "w_out", (5, 3)),
+    (1, "w_out", (4,)), (1, "b_out", (3,)), (0, "b_out", ())])
+def test_a_malformed_head_array_is_named(h, field, shape):
+    """A head array of the wrong shape raises a ShapeError naming its head
+    and field, whichever head holds it, before any product reads it."""
+    rng = np.random.default_rng(4)
+    layer = constant(rng.standard_normal((3, 2, 3, 4)))
+    heads = [[coeffs, *(constant(v) for v in head_params(rng, 1, 4, 4, width)
+                        .values())]
+             for coeffs, width in (((1.0, 0.0, 1.0), 3), ((0.0, 1.0, 0.0), 2))]
+    arrays = ("w_pair", "b_pair", "ln_gain", "ln_bias", "w_out", "b_out")
+    heads[h][1 + arrays.index(field)] = constant(np.zeros(shape))
+    with pytest.raises(ad.ShapeError,
+                       match=re.escape(f"head {h}: {field} is {shape}, not")):
+        ad.pair_heads([layer], [tuple(head) for head in heads])
 
 
 def test_pair_heads_needs_a_layer():

@@ -72,7 +72,7 @@ def test_the_library_defines_only_the_live_operations():
         "take", "add", "affine_const", "dam_sequence", "pair_heads", "bce",
         "constant", "aligned_rows"}
     assert _public_functions(decoders) == {
-        "relation_coefficients", "decode_streams", "threshold_predictions"}
+        "decode_streams", "threshold_predictions"}
     assert _public_functions(encoder) == {
         "encode_sequence", "trace_sequence", "encode_stacked"}
     assert not hasattr(encoder, "DamOutput")
@@ -201,6 +201,9 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
                                                ("g", required)]
     assert _parameters(encode_stacked) == [
         ("x", required), ("layers", required), ("interaction", True)]
+    assert _parameters(decoders.decode_streams) == [
+        ("layers", required), ("ner_head", required), ("re_head", required),
+        ("re_coeffs", required)]
     assert _parameters(encode_sequence) == [
         ("x", required), ("params", required), ("reverse", False),
         ("interaction", True)]
@@ -251,8 +254,9 @@ def test_every_all_entry_resolves(name):
 def test_each_removed_duplicate_stays_removed():
     """An unrecorded binding is `bind` on a record that does not record,
     `read_text` opens its own input, `_prepare` returns a tuple, the
-    encoder calls `dam_sequence` itself, a grid result dumps its points
-    with `asdict`, and `python -m darter` is the one entry stub."""
+    encoder calls `dam_sequence` itself, a grid result and its points dump
+    with `asdict`, the model derives the relation head's coefficients from
+    its checked config, and `python -m darter` is the one entry stub."""
     assert not hasattr(ParamStore, "untracked")
     assert "__contains__" not in vars(ParamStore)
     assert not hasattr(corpus, "open_input")
@@ -260,6 +264,8 @@ def test_each_removed_duplicate_stays_removed():
     assert not hasattr(training, "_Prepared")
     assert not hasattr(encoder, "_layer")
     assert not hasattr(training.GridPoint, "to_json")
+    assert not hasattr(training.GridSearchResult, "to_json")
+    assert not hasattr(decoders, "relation_coefficients")
     assert "__main__" not in (SRC / "cli.py").read_text(encoding="utf-8")
 
 
