@@ -192,11 +192,11 @@ def _row_mean(av: np.ndarray) -> np.ndarray:
     return np.add.reduce(av, -1, None, None, True) / av.shape[-1]
 
 
-def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
+def _pair_norm_stats(sides: np.ndarray) -> np.ndarray:
     """Layer-norm statistics of every pair row sides[i, 0] + sides[j, 1]
     from per-token parts. Centres `sides` [..., t, 2, d] in place and
-    returns the inverse deviations 1 / sqrt(var + eps), [..., t, t, 1]; a
-    leading axis holds independent heads, one [t, t] product each.
+    returns the inverse deviations 1 / sqrt(var + _NORM_EPS) [..., t, t, 1];
+    a leading axis holds independent heads, one [t, t] product each.
 
     A pair row's mean is the sum of its sides' means, and for centred sides
     c its squared norm is |c_i|^2 + |c_j|^2 + 2 c_i . c_j. Where that
@@ -217,7 +217,7 @@ def _pair_norm_stats(sides: np.ndarray, eps: float) -> np.ndarray:
         rows = sides[(*lead, i, 0)] + sides[(*lead, j, 1)]
         ssq[(*lead, i, j)] = np.add.reduce(rows * rows, -1)
     d = sides.shape[-1]                  # var = ssq / d, so the inverse
-    ssq += d * eps                       # deviation is
+    ssq += d * _NORM_EPS                 # deviation is
     np.sqrt(ssq, out=ssq)                # sqrt(d) / sqrt(ssq + d * eps)
     return np.divide(math.sqrt(d), ssq, out=ssq)[..., None]
 
@@ -492,13 +492,14 @@ _CLAMP_EPS = 1e-7
 
 
 def _pair_block(scaled: np.ndarray, inv: np.ndarray, bias: np.ndarray,
-                lo: int, hi: int, streamed: bool = False) -> np.ndarray:
+                lo: int, hi: int) -> np.ndarray:
     """Pair rows lo:hi of a head's hidden table,
-    ELU((scaled[i, 0] + scaled[j, 1]) * inv[i, j] + bias), [hi - lo, t, d],
-    new (any leading head axis kept) or, if streamed, in the thread's
-    "pair" workspace, with its ELU work half on a 64-byte boundary too."""
+    ELU((scaled[i, 0] + scaled[j, 1]) * inv[i, j] + bias), [hi - lo, t, d]:
+    the whole table is new (any leading head axis kept), and a block of
+    fewer rows streams through the thread's "pair" workspace, with its ELU
+    work half on a 64-byte boundary too."""
     out = work = None
-    if streamed:
+    if hi - lo < scaled.shape[-3]:
         shape = (hi - lo, *scaled.shape[::2])
         rows = _workspace("pair", aligned_rows, 2,
                           max(_PAIR_BLOCK, math.prod(shape[1:])))
@@ -602,7 +603,7 @@ def pair_heads(layers: Sequence[Tensor],
             b_pair.values, ln_gain.values, ln_bias.values)
         logits_at.append(logits_at[-1] + t * t * width)
     sides[:, :, 1] += affine[:, None, 0]
-    inv = _pair_norm_stats(sides, _NORM_EPS)
+    inv = _pair_norm_stats(sides)
     scaled = sides * affine[:, None, None, 1]
     bv = affine[:, None, None, 2]
     rows = max(_PAIR_BLOCK // max(1, t * d_h), 1)
@@ -615,7 +616,7 @@ def pair_heads(layers: Sequence[Tensor],
         head_logits = logits[logits_at[h]:logits_at[h + 1]].reshape(t * t, -1)
         for lo, hi in blocks:
             block = hidden[h] if hidden[h] is not None else _pair_block(
-                scaled[h], inv[h], bv[h], lo, hi, streamed=True)
+                scaled[h], inv[h], bv[h], lo, hi)
             np.dot(block.reshape(-1, d_h), head[5].values,
                    out=head_logits[lo * t:hi * t])
         head_logits += head[6].values
@@ -647,7 +648,7 @@ def _pair_backward(shape, coeffs, w_outv, probs, feats, w_ij, sides, inv,
     dproj = np.empty((t, 2 * d_h))       # row sums as i, column sums as j
     for lo, hi in blocks:
         h = hidden if hidden is not None else _pair_block(
-            scaled, inv, bv, lo, hi, streamed=True)
+            scaled, inv, bv, lo, hi)
         dl = dlogits[lo:hi]
         dw = h.reshape(-1, d_h).T @ dl.reshape(-1, width)
         dnorm = dl.dot(w_outt) * _elu_slope(h)

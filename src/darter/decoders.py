@@ -93,18 +93,18 @@ def threshold_predictions(e: EntityLogits, r: RelationLogits,
                           diagonal_only: bool = False) -> PredictionSet:
     """Cells strictly above THRESHOLD; entity cells below the diagonal are
     ignored, and in tail-only mode everything off it is too."""
-    i, j, k = _cells_above(e.probs.values, THRESHOLD)
+    i, j, k = _cells_above(e.probs.values)
     keep = i == j if diagonal_only else i <= j
     entities = zip(i[keep].tolist(), j[keep].tolist(), k[keep].tolist())
-    i, m, k = _cells_above(r.probs.values, THRESHOLD)
+    i, m, k = _cells_above(r.probs.values)
     relations = zip(i.tolist(), m.tolist(), k.tolist())
     return PredictionSet(entities=frozenset(entities),
                          relations=frozenset(relations))
 
 
-def _cells_above(table: np.ndarray, tau: float):
+def _cells_above(table: np.ndarray):
     """Row, column and type indices of the cells of a [t, t, w] table
-    above tau, from one flat scan."""
+    above THRESHOLD, read when called, from one flat scan."""
     t, _, w = table.shape
-    cell, k = divmod(np.flatnonzero(table > tau), w)
+    cell, k = divmod(np.flatnonzero(table > THRESHOLD), w)
     return (*divmod(cell, t), k)

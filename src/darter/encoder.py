@@ -50,14 +50,6 @@ class DamParams(NamedTuple):
     w_a: Tensor
     b_a: Tensor
 
-    @property
-    def d_in(self) -> int:
-        return self.w_z.shape[1]
-
-    @property
-    def d_h(self) -> int:
-        return self.w_z.shape[2]
-
     @staticmethod
     def register(store: ParamStore, prefix: str, d_in: int, d_h: int) -> None:
         if d_in < 1 or d_h < 1:

@@ -116,7 +116,7 @@ class Adam:
         p = p - (lr * m_hat) / (sqrt(v_hat) + _EPS)
 
     so the result is the same, bit for bit. A gradient so large that the
-    update overflows raises FloatingPointError.
+    update overflows, or that holds an infinity, raises FloatingPointError.
     """
 
     def __init__(self, store, lr: float):
@@ -131,7 +131,7 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         m, v, work, denom = self._m, self._v, self._work, self._denom
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="raise"):
             m *= _BETA1
             np.multiply(g, 1.0 - _BETA1, out=work)
             m += work
@@ -166,6 +166,8 @@ def _prepare(model: JointModel, sentence) -> tuple:
                         config.mask_reversed_entity_cells))
 
 
+# an overflowing loss or gradient is reported below, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: JointModel, sentences, train_config: TrainConfig,
           weights: LossWeights = LossWeights()) -> list[float]:
     """Fit in place; returns the mean per-sentence loss of each epoch."""

@@ -46,9 +46,9 @@ def project_inputs(x: Tensor, params: DamParams) -> Tensor:
     """Affine projections of the whole sentence for all three streams."""
     if x.values.ndim != 2:
         raise ShapeError(f"token matrix must be 2-d, got shape {x.shape}")
-    if x.shape[1] != params.d_in:
+    if x.shape[1] != params.w_z.shape[1]:
         raise ShapeError(f"token width {x.shape[1]} does not match cell "
-                         f"input width {params.d_in}")
+                         f"input width {params.w_z.shape[1]}")
     return broadcast_add(matmul(x, params.w_z), params.b_z)
 
 

@@ -167,20 +167,24 @@ def test_divergence_is_exit_1(tmp_path, capsys, monkeypatch):
 
 
 def test_gradient_overflow_is_exit_1(tmp_path, capsys):
-    """A loss weight so large that Adam's squared gradient overflows stops
-    training with exit 1 naming the epoch and sentence: no numpy warning,
-    no checkpoint and no history."""
+    """A loss weight so large that Adam's squared gradient, the backward
+    pass or the loss itself overflows stops training with exit 1 naming
+    the epoch and sentence: no numpy warning, no checkpoint and no
+    history."""
     setup_tree(tmp_path)
-    config = config_file(tmp_path, **train_entries(
-        loss={"gamma": 1e300, "delta": 1.0}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["train", "--config", config]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: gradient overflow in the Adam step at "
-                        r"epoch 0, sentence \d+\n", err), err
-    assert not (tmp_path / "model.json").exists()
-    assert not (tmp_path / "history.json").exists()
+    for gamma, message in ((1e300, "gradient overflow in the Adam step"),
+                           (1e307, "gradient overflow in the Adam step"),
+                           (1.5e308, "non-finite loss inf")):
+        config = config_file(tmp_path, **train_entries(
+            loss={"gamma": gamma, "delta": 1.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message} at epoch 0, sentence \\d+\n",
+                            err), err
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "history.json").exists()
 
 
 def test_history_into_a_missing_directory_is_exit_1(tmp_path, capsys):

@@ -424,7 +424,7 @@ def composed_sequence(x, params, reverse, interaction):
     t = x.shape[0]
     z_all = project_inputs(x, params)
     order = range(t - 1, -1, -1) if reverse else range(t)
-    state = DamState.zeros(params.d_h)
+    state = DamState.zeros(params.w_z.shape[2])
     tildes, hiddens = [None] * t, [None] * t
     for i in order:
         z_t = ops.index(z_all, (slice(None), slice(i, i + 1)))

@@ -105,7 +105,7 @@ def test_cancelling_pairs_never_have_negative_variance(scale):
     sides = np.stack([side, -side[rng.permutation(t)]], axis=1)
     sides[:, 1] += rng.standard_normal(d_h)          # moved by a constant
     centred = sides.copy()
-    inv = ad._pair_norm_stats(centred, EPS)
+    inv = ad._pair_norm_stats(centred)
     assert inv.shape == (t, t, 1)
     # var >= 0 exactly when 1 / sqrt(var + eps) <= 1 / sqrt(eps); NaN fails
     assert np.all(inv <= EPS ** -0.5)
@@ -256,6 +256,32 @@ def test_blocked_gradients_finite_differences(monkeypatch, t, n, d_h, rows):
         lambda: loss(Record(recording=False))[0].item(), store, step=1e-6)
     err = max_relative_error(analytic, numeric)
     assert err <= 1e-6, f"blocked pair_scores gradient mismatch: {err:.2e}"
+
+
+def test_a_whole_table_is_new_and_a_block_streams(monkeypatch):
+    """`_pair_block` over all t pair rows returns a new array, which no
+    later call overwrites, with or without a leading head axis; a block of
+    fewer rows is a view of the thread's "pair" workspace, bit-equal to
+    those rows of the table."""
+    monkeypatch.setattr(ad, "_workspaces", threading.local())
+    rng = np.random.default_rng(28)
+    t, d = 5, 3
+    scaled = rng.standard_normal((2, t, 2, d))
+    inv = rng.uniform(0.5, 1.5, (2, t, t, 1))
+    bias = rng.standard_normal((2, 1, 1, d))
+    ad._pair_block(scaled[0], inv[0], bias[0], 0, 1)
+    pair = ad._workspaces.pair[1]
+    heads = ad._pair_block(scaled, inv, bias, 0, t)
+    assert heads.shape == (2, t, t, d)
+    assert not np.shares_memory(heads, pair)
+    for h in range(2):
+        whole = ad._pair_block(scaled[h], inv[h], bias[h], 0, t)
+        assert not np.shares_memory(whole, pair)
+        assert whole.tobytes() == heads[h].tobytes()
+        for lo, hi in ((0, 1), (1, 3), (3, 5)):
+            block = ad._pair_block(scaled[h], inv[h], bias[h], lo, hi)
+            assert np.shares_memory(block, pair)
+            assert block.tobytes() == whole[lo:hi].tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5])      # t = 5: 5 is one block
@@ -491,8 +517,7 @@ def test_reused_buffers_start_on_cache_lines(monkeypatch, d):
     scaled = rng.standard_normal((t, 2, d))
     inv = rng.uniform(0.5, 1.5, (t, t, 1))
     for lo, hi in ((0, 1), (1, 3), (3, 5)):
-        ad._pair_block(scaled, inv, rng.standard_normal(d), lo, hi,
-                       streamed=True)
+        ad._pair_block(scaled, inv, rng.standard_normal(d), lo, hi)
     assert starts == [(0, 0)] * 3
 
 

@@ -195,6 +195,10 @@ def test_one_loss_function_and_no_parameter_without_a_caller():
         "lr", "epochs", "batch_size", "seed")
     assert _parameters(ad.pair_heads) == [("layers", required),
                                           ("heads", required)]
+    assert _parameters(ad._pair_block) == [
+        (name, required) for name in ("scaled", "inv", "bias", "lo", "hi")]
+    assert _parameters(ad._pair_norm_stats) == [("sides", required)]
+    assert _parameters(decoders._cells_above) == [("table", required)]
     assert _parameters(training.Adam.__init__) == [
         ("self", required), ("store", required), ("lr", required)]
     assert _parameters(training.Adam.step) == [("self", required),
@@ -256,7 +260,8 @@ def test_each_removed_duplicate_stays_removed():
     `read_text` opens its own input, `_prepare` returns a tuple, the
     encoder calls `dam_sequence` itself, a grid result and its points dump
     with `asdict`, the model derives the relation head's coefficients from
-    its checked config, and `python -m darter` is the one entry stub."""
+    its checked config, a cell's widths are its weights' shapes, and
+    `python -m darter` is the one entry stub."""
     assert not hasattr(ParamStore, "untracked")
     assert "__contains__" not in vars(ParamStore)
     assert not hasattr(corpus, "open_input")
@@ -266,6 +271,8 @@ def test_each_removed_duplicate_stays_removed():
     assert not hasattr(training.GridPoint, "to_json")
     assert not hasattr(training.GridSearchResult, "to_json")
     assert not hasattr(decoders, "relation_coefficients")
+    assert not hasattr(encoder.DamParams, "d_in")
+    assert not hasattr(encoder.DamParams, "d_h")
     assert "__main__" not in (SRC / "cli.py").read_text(encoding="utf-8")
 
 

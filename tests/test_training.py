@@ -161,6 +161,18 @@ def test_adam_first_step_is_signed_lr():
     npt.assert_allclose(delta, [-0.01, 0.01, -0.01], rtol=1e-6)
 
 
+def test_adam_refuses_an_infinite_gradient():
+    """An infinite gradient raises FloatingPointError rather than writing
+    NaN into the parameters."""
+    store = ParamStore(seed=0)
+    store.add_uniform("w", (3,), fan_in=1)
+    adam = Adam(store, lr=1e-2)
+    before = store.flat.copy()
+    with pytest.raises(FloatingPointError):
+        adam.step(np.array([1.0, np.inf, -1.0]))
+    assert store.flat.tobytes() == before.tobytes()
+
+
 def test_adam_is_deterministic():
     def run():
         store = ParamStore(3)
